@@ -529,7 +529,7 @@ func loadCampaign(b *testing.B, path string) *campaign.Plan {
 }
 
 // BenchmarkCampaignSweep (E4/E6) sweeps the shipped campaign specs across a
-// simulated fleet on the vehicle-major pooled engine. The lite spec matches
+// simulated fleet on the pooled engine. The lite spec matches
 // BenchmarkFleetSweep's per-vehicle workload (3 scenarios × 2 regimes) and
 // measures raw campaign throughput at fleet=1000; the quickstart spec
 // expands to 210 distinct scenarios (258 cells) per vehicle, so its

@@ -91,7 +91,7 @@ func main() {
 	workers := flag.Int("workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
 	seed := flag.Uint64("seed", 1, "root seed for deterministic per-vehicle seed derivation")
 	reuse := flag.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
-	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cross-vehicle memoisation); reports are byte-identical either way")
+	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cell-major fleet scaling); reports are byte-identical either way")
 	detail := flag.Bool("detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
 	campaignFile := flag.String("campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
 	riskFile := flag.String("risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")
@@ -486,10 +486,19 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 	if !reuse {
 		pool = "fresh"
 	}
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%s vehicles, %v wall clock)\n",
-		float64(fleetSize)/elapsed.Seconds(), float64(rep.Cells)/elapsed.Seconds(),
-		pool, elapsed.Round(time.Millisecond))
+	printSweepThroughput(rep, pool, elapsed)
 	return nil
+}
+
+// printSweepThroughput prints the wall-clock line of a campaign or risk
+// sweep. Unique cells are the campaign's distinct (scenario, regime) cells,
+// the ones a cell-major sweep simulates; fleet cells multiply them by the
+// fleet size, and vehicles/s derives from the same scaling.
+func printSweepThroughput(rep *campaign.CampaignReport, pool string, elapsed time.Duration) {
+	sec := elapsed.Seconds()
+	fmt.Printf("\nthroughput: %.0f unique cells/s, %.0f fleet cells/s, %.0f vehicles/s (%s vehicles, %v wall clock)\n",
+		float64(rep.Cells/rep.Fleet)/sec, float64(rep.Cells)/sec, float64(rep.Fleet)/sec,
+		pool, elapsed.Round(time.Millisecond))
 }
 
 // execMode names the executor for the report header: "batched" is the
@@ -552,9 +561,7 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, re
 	if !reuse {
 		pool = "fresh"
 	}
-	fmt.Printf("\nthroughput: %.0f vehicles/s, %.0f cells/s (%s vehicles, %v wall clock)\n",
-		float64(out.Report.Fleet)/elapsed.Seconds(), float64(out.Report.Cells)/elapsed.Seconds(),
-		pool, elapsed.Round(time.Millisecond))
+	printSweepThroughput(out.Report, pool, elapsed)
 	return nil
 }
 

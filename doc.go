@@ -40,15 +40,15 @@
 //     vehicles (scheduler + bus + car + HPE/MAC each) on a bounded worker
 //     pool with deterministic per-vehicle seeds, merged reports, and
 //     per-worker vehicle arenas that reset one stack in place per vehicle
-//     instead of rebuilding it; multi-group runs sweep a whole campaign's
-//     scenario groups per vehicle visit (vehicle-major, no per-family
-//     barrier)
+//     instead of rebuilding it; the default sweep is cell-major (each
+//     cell simulated once per run, the fleet derived by exact integer
+//     scaling), the supervised and oracle sweeps vehicle-major
 //   - internal/campaign  — procedural adversary-campaign generator: a
 //     declarative text/JSON spec (campaign.Parse) expands into families of
 //     generated scenarios — Table I mutations, coordinated multi-attacker
 //     floods, predicate-gated multi-stage kill chains — compiled onto
-//     attack.Scenario cells and swept on the fleet engine in one
-//     vehicle-major pass with SplitMix64 sub-seeds (CampaignReport
+//     attack.Scenario cells and swept on the fleet engine in one pass
+//     with SplitMix64 sub-seeds (CampaignReport
 //     byte-identical across worker counts and pooled/fresh runs); shipped
 //     specs live under examples/campaigns
 //   - internal/risk      — empirically-grounded risk scoring: the threat

@@ -31,6 +31,13 @@ type BatchPlan struct {
 // Cells returns the total number of scenario×regime cells the plan covers.
 func (p *BatchPlan) Cells() int { return len(p.Scenarios) * len(p.Regimes) }
 
+// Buckets returns the number of prefix buckets in the plan.
+func (p *BatchPlan) Buckets() int { return len(p.buckets) }
+
+// Bucket returns the scenario indices of bucket bi, in scenario order. The
+// slice is the plan's own and must not be modified.
+func (p *BatchPlan) Bucket(bi int) []int { return p.buckets[bi] }
+
 // SharedCells returns the number of cells that fork from a checkpoint
 // instead of paying a full reset — the quantity sweep throughput scales with.
 func (p *BatchPlan) SharedCells() int {

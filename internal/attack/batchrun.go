@@ -25,6 +25,7 @@ type BatchRun struct {
 	p *BatchPlan
 
 	bi, ri, ci int  // bucket, regime, cell-in-bucket position
+	end        int  // one past the last bucket the cursor walks
 	started    bool // Next called at least once
 	primed     bool // a valid checkpoint exists for (bi, ri)
 	corrupt    bool // sabotage the next restore (chaos testing hook)
@@ -32,7 +33,16 @@ type BatchRun struct {
 }
 
 // NewBatchRun positions a fresh cursor before the plan's first cell.
-func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun { return &BatchRun{a: a, p: p} }
+func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun {
+	return &BatchRun{a: a, p: p, end: len(p.buckets)}
+}
+
+// NewBucketRun positions a fresh cursor before the first cell of bucket bi
+// and stops it after that bucket's last cell: the unit the fleet engine's
+// cell-major sweep hands to one worker.
+func (a *Arena) NewBucketRun(p *BatchPlan, bi int) *BatchRun {
+	return &BatchRun{a: a, p: p, bi: bi, end: bi + 1}
+}
 
 // Next advances to the next cell in bucket-major, regime-minor order —
 // exactly RunSummariesBatched's execution order — and reports whether one
@@ -41,7 +51,7 @@ func (a *Arena) NewBatchRun(p *BatchPlan) *BatchRun { return &BatchRun{a: a, p: 
 func (b *BatchRun) Next() bool {
 	if !b.started {
 		b.started = true
-		return len(b.p.buckets) > 0
+		return b.bi < b.end
 	}
 	b.ci++
 	if b.ci < len(b.p.buckets[b.bi]) {
@@ -55,7 +65,7 @@ func (b *BatchRun) Next() bool {
 	}
 	b.ri = 0
 	b.bi++
-	return b.bi < len(b.p.buckets)
+	return b.bi < b.end
 }
 
 // Cell returns the current cell's scenario index (into the plan's Scenarios)

@@ -59,26 +59,38 @@ func TestBatchRunMatchesRunSummariesBatched(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := make([]RegimeSummary, len(p.Regimes))
-	for i, enf := range p.Regimes {
-		got[i].Regime = enf
+	// The whole-plan cursor, and one cursor per bucket walked in reverse
+	// (the cell-major engine hands buckets to workers in any order).
+	var bucketRuns []*BatchRun
+	for bi := p.Buckets() - 1; bi >= 0; bi-- {
+		bucketRuns = append(bucketRuns, a.NewBucketRun(p, bi))
 	}
-	br := a.NewBatchRun(p)
-	cells := 0
-	for br.Next() {
-		_, ri := br.Cell()
-		r, err := br.Run()
-		if err != nil {
-			t.Fatalf("cell %d: %v", cells, err)
+	for name, runs := range map[string][]*BatchRun{
+		"plan":    {a.NewBatchRun(p)},
+		"buckets": bucketRuns,
+	} {
+		got := make([]RegimeSummary, len(p.Regimes))
+		for i, enf := range p.Regimes {
+			got[i].Regime = enf
 		}
-		got[ri].Summary.Add(r)
-		cells++
-	}
-	if want := len(scs) * len(allRegimes); cells != want {
-		t.Fatalf("cursor visited %d cells, want %d", cells, want)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("stepped cursor diverged from RunSummariesBatched\none-shot: %+v\nstepped:  %+v", want, got)
+		cells := 0
+		for _, br := range runs {
+			for br.Next() {
+				_, ri := br.Cell()
+				r, err := br.Run()
+				if err != nil {
+					t.Fatalf("%s: cell %d: %v", name, cells, err)
+				}
+				got[ri].Summary.Add(r)
+				cells++
+			}
+		}
+		if want := len(scs) * len(allRegimes); cells != want {
+			t.Fatalf("%s: cursor visited %d cells, want %d", name, cells, want)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stepped cursor diverged from RunSummariesBatched\none-shot: %+v\nstepped:  %+v", name, want, got)
+		}
 	}
 }
 

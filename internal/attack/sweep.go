@@ -66,6 +66,24 @@ func (s *Summary) Merge(o Summary) {
 	s.StagesHalted += o.StagesHalted
 }
 
+// Scale returns the summary multiplied by n: exactly the Merge of n copies,
+// since every field is an integer counter. The fleet engine derives a
+// fleet's aggregate from one vehicle's this way.
+func (s Summary) Scale(n int) Summary {
+	u := uint64(n)
+	return Summary{
+		Runs:           s.Runs * n,
+		Succeeded:      s.Succeeded * n,
+		Blocked:        s.Blocked * n,
+		FalsePositives: s.FalsePositives * n,
+		Injected:       s.Injected * n,
+		WriteBlocked:   s.WriteBlocked * u,
+		ReadBlocked:    s.ReadBlocked * u,
+		StageRuns:      s.StageRuns * n,
+		StagesHalted:   s.StagesHalted * n,
+	}
+}
+
 // SuccessRate returns attacks succeeded over runs (0 for no runs).
 func (s Summary) SuccessRate() float64 {
 	if s.Runs == 0 {

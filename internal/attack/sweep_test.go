@@ -92,3 +92,19 @@ func TestMatrixDeterministicForSameSeed(t *testing.T) {
 		t.Error("same-seed matrices differ")
 	}
 }
+
+// TestSummaryScaleEqualsRepeatedMerge: scaling is the fold of n copies, the
+// identity the fleet engine's cell-major merge rests on.
+func TestSummaryScaleEqualsRepeatedMerge(t *testing.T) {
+	s := Summary{Runs: 7, Succeeded: 3, Blocked: 2, FalsePositives: 2, Injected: 41,
+		WriteBlocked: 5, ReadBlocked: 6, StageRuns: 9, StagesHalted: 1}
+	for _, n := range []int{0, 1, 3, 1000} {
+		var want Summary
+		for i := 0; i < n; i++ {
+			want.Merge(s)
+		}
+		if got := s.Scale(n); got != want {
+			t.Errorf("Scale(%d) = %+v, want %+v", n, got, want)
+		}
+	}
+}

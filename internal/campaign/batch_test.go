@@ -7,11 +7,11 @@ import (
 )
 
 // TestSweepBatchedMatchesOracle is the acceptance gate of the batched
-// executor: the default path (prefix-checkpointed batching + cross-vehicle
-// memoisation) must render a CampaignReport byte-identical to the
+// executor: the default path (prefix-checkpointed batching + cell-major
+// fleet scaling) must render a CampaignReport byte-identical to the
 // cell-by-cell oracle (NoBatch) at several worker counts, pooled and fresh,
-// with and without live-phase error injection (the one knob that disables
-// the live memo).
+// with and without live-phase error injection (the one knob that makes the
+// live phase run per vehicle).
 func TestSweepBatchedMatchesOracle(t *testing.T) {
 	plan := determinismPlan(t)
 	for _, errRate := range []float64{0, 0.03} {

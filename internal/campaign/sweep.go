@@ -31,8 +31,8 @@ type SweepConfig struct {
 	// ErrorRate enables bus error injection in the live phase.
 	ErrorRate float64
 	// NoBatch selects the engine's cell-by-cell oracle executor instead of
-	// the default batched one (prefix checkpointing + cross-vehicle
-	// memoisation); both render byte-identical reports.
+	// the default batched one (prefix checkpointing + cell-major fleet
+	// scaling); both render byte-identical reports.
 	NoBatch bool
 	// Chaos arms the engine's deterministic fault injection (nil: none).
 	Chaos *chaos.Plan
@@ -111,11 +111,11 @@ type CampaignReport struct {
 	HealthEnabled bool
 }
 
-// Sweep executes the plan on the fleet engine in one vehicle-major pass: the
-// families compile into engine scenario groups, every worker claims a
-// vehicle, runs the live background phase once and then sweeps *all*
-// families' scenario×regime cells on its warm arena before moving on. Sweep
-// itself is a thin planner and folder — it derives per-family fleet roots,
+// Sweep executes the plan on the fleet engine in one pass: the families
+// compile into engine scenario groups, and the engine sweeps all of them in
+// one run (cell-major by default: each family's cells once, scaled to the
+// fleet; see the engine package doc). Sweep itself is a thin planner and
+// folder — it derives per-family fleet roots,
 // hands the engine the whole campaign, and folds the per-(family, vehicle)
 // aggregates back into a CampaignReport in deterministic family order. The
 // report is byte-identical to the retired family-major executor's (one

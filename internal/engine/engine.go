@@ -1,7 +1,7 @@
-// Package engine is the fleet-scale simulation engine: it runs N independent
-// vehicle simulations — each owning its own sim.Scheduler, canbus.Bus,
-// car.Car and HPE/MAC stack — across a bounded worker pool and merges the
-// per-vehicle outcomes into one fleet-wide report.
+// Package engine is the fleet-scale simulation engine: it sweeps N vehicle
+// simulations — each driving a sim.Scheduler, canbus.Bus, car.Car and
+// HPE/MAC stack — across a bounded worker pool and merges the per-vehicle
+// outcomes into one fleet-wide report.
 //
 // The paper's evaluation (§V) drives a single connected car; its update
 // story (§V-A.2) is about an OEM operating a population of them. The engine
@@ -14,41 +14,47 @@
 // By default each worker constructs its simulation stack once — an
 // attack.Arena (car + per-node policy engines) and a single-owner MAC
 // server — and resets it in place between the live background simulation,
-// the MAC probe and every scenario×regime cell. A thousand-vehicle sweep
-// therefore builds `workers` vehicle stacks instead of ~7000, which is
-// worth ~3.6x in fleet-sweep throughput. Config.FreshVehicles selects the
-// from-scratch reference path; both render byte-identical reports.
+// the MAC probe and every scenario×regime cell. Config.FreshVehicles
+// selects the from-scratch reference path; both render byte-identical
+// reports.
 //
-// # Vehicle-major scenario groups
+// # Cell-major evaluation
 //
-// A run may carry multiple ScenarioGroups (a compiled campaign's families):
-// the sweep then visits each vehicle once — live background phase, then
-// every group's scenario×regime cells back to back on the same warm arena —
-// instead of one barriered pass per family. Each group carries its own
-// fleet root, so every (group, vehicle) block stays a pure function of its
-// seeds; cross-group isolation rests on the arena's reset-equals-fresh
-// contract (each cell resets the vehicle).
+// The default run (batched, unsupervised) is cell-major. The Table I
+// attack matrix is a property of the policy, the scenario and the
+// enforcement regime, not of the vehicle: the only consumer of a vehicle
+// seed in the substrate is the bus error-injection RNG, attack cells reset
+// the vehicle with error injection off, and attack.Summary holds only
+// integer counters. So every vehicle's per-group block is the same block,
+// and a fleet's aggregate is exactly Fleet × that block. The run therefore
 //
-// # Batched evaluation
+//   - simulates each group's cells once: the prefix-sharing buckets of
+//     attack.PlanBatches are claimed off one cursor across the workers, and
+//     each bucket replays its shared pre-attack prefix once per regime and
+//     forks the remaining cells from a checkpoint;
+//   - runs the live background phase and the MAC probe once when
+//     ErrorRate is zero (the live phase consumes the seed otherwise, and
+//     then runs per vehicle);
+//   - fills each vehicle report with what varies (index, VIN, seed, live
+//     counters, Health), sharing the one block, and derives the fleet's
+//     group aggregates with attack.Summary.Scale.
 //
-// By default the sweep runs batched: scenario groups are planned into
-// prefix-sharing buckets (attack.PlanBatches), each worker's arena replays a
-// bucket's shared pre-attack prefix once per enforcement regime and forks
-// the remaining cells from a checkpoint, and — because attack cells never
-// enable bus error injection, the only seed consumer in the substrate — each
-// worker computes its first vehicle fully and reuses the seed-invariant
-// parts (attack aggregates always; live counters when ErrorRate is zero; MAC
-// probe counts always) for every later vehicle it claims. Config.NoBatch
-// selects the cell-by-cell oracle path instead; both render byte-identical
-// reports, which the equivalence tests and the CI smoke job assert.
+// The supervised run (Config.Chaos, Config.VerifySample) and the NoBatch
+// oracle stay vehicle-major: each claimed vehicle runs its live phase, then
+// every group's cells back to back on the same warm arena, so each vehicle
+// really executes the cells its faults and samples are rolled for.
+// Cell-major and oracle runs render byte-identical reports, which the
+// property tests and the CI smoke job assert; the seed-invariance premise
+// is pinned by its own test.
 //
 // # Determinism
 //
 // Every vehicle derives its seed from the root seed via a SplitMix64 step,
 // so vehicle i behaves identically regardless of which worker runs it or in
 // what order vehicles are scheduled. Reports are merged in vehicle-index
-// order; two runs with the same Config produce byte-identical rendered
-// reports whatever the worker count, with or without pooling.
+// order (utilisation summed vehicle by vehicle, so the float bytes never
+// depend on the path); two runs with the same Config produce byte-identical
+// rendered reports whatever the worker count, with or without pooling.
 //
 // # Failure containment
 //
@@ -57,21 +63,23 @@
 // budget or hits a non-quiescent capture is quarantined and retried (up to
 // Config.MaxRetries, rebuilding the pooled arena where the failure class
 // demands it); a cell that exhausts its batched retries demotes the rest of
-// the vehicle's visit to the cell-by-cell oracle; only a cell failing every
-// rung makes Run return an error — and even then Run returns the merged
-// partial report alongside it. Config.Chaos arms deterministic fault
-// injection (internal/chaos) for drilling these paths, and
-// Config.VerifySample cross-checks a deterministic fraction of batched
-// cells against the oracle inline. Containment history accumulates in the
-// report's Health ledger, itself a pure function of the config — arming
-// chaos or sampling disables cross-vehicle memoisation so every vehicle
-// really executes its cells. See DESIGN.md §11.
+// the vehicle's visit (of the bucket, in a cell-major run) to the
+// cell-by-cell oracle; only a cell failing every rung makes Run return an
+// error — and even then Run returns the merged partial report alongside
+// it. Config.Chaos arms deterministic fault injection (internal/chaos) for
+// drilling these paths, and Config.VerifySample cross-checks a
+// deterministic fraction of batched cells against the oracle inline.
+// Containment history accumulates in the report's Health ledger, itself a
+// pure function of the config; a cell-major run books its cell-phase
+// events once, on the run's first vehicle. See DESIGN.md §11.
 package engine
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,11 +92,9 @@ import (
 )
 
 // ScenarioGroup is one independently seeded scenario×regime block of a
-// vehicle visit — a campaign family, in campaign terms. A multi-group run
-// sweeps every group against each vehicle in one pass: the worker claims the
-// vehicle, runs the live background phase once, then executes group after
-// group on the same warm arena. Per-group summaries are kept separate so the
-// caller can fold them however its report requires.
+// vehicle's sweep — a campaign family, in campaign terms. Per-group
+// summaries are kept separate so the caller can fold them however its
+// report requires.
 type ScenarioGroup struct {
 	// Name labels the group in the merged report (informational).
 	Name string
@@ -116,7 +122,9 @@ type Config struct {
 	// (chaos fault rolls, verify sampling) key on the global index, so a
 	// sharded sweep — N runs covering contiguous ranges — gives every
 	// vehicle exactly the trajectory the unsharded run would, whatever the
-	// shard layout. Zero (the default) is the unsharded whole-fleet run.
+	// shard layout. Zero (the default) is the unsharded whole-fleet run. A
+	// cell-major run simulates its cells under the seeds of its first
+	// vehicle, IndexOffset.
 	IndexOffset int
 	// Scenarios is the attack matrix swept per vehicle
 	// (default attack.Scenarios(), the full Table I set).
@@ -125,7 +133,7 @@ type Config struct {
 	// (default none + hpe, the paper's baseline-vs-defence comparison).
 	Regimes []attack.Enforcement
 	// Groups optionally supplies multiple scenario groups swept per vehicle
-	// visit (the vehicle-major campaign executor). When set, Scenarios,
+	// (a compiled campaign's families). When set, Scenarios,
 	// Regimes and RootSeed are ignored for the attack sweeps — each group
 	// carries its own — and the live background phase derives its seed from
 	// the first group's root. When empty, the run is the single-group legacy
@@ -164,8 +172,8 @@ type Config struct {
 	// module derivation entirely).
 	SkipMAC bool
 	// NoBatch disables the batched executor: no prefix-checkpointed scenario
-	// batching and no cross-vehicle memoisation — every vehicle and every
-	// scenario×regime cell runs through the cell-by-cell oracle path. Batched
+	// batching and no cell-major scaling — every vehicle runs every
+	// scenario×regime cell through the cell-by-cell oracle path. Batched
 	// (default) and oracle runs render byte-identical reports; the oracle
 	// survives as the reference the equivalence tests and the CI batched
 	// smoke job compare against.
@@ -174,15 +182,15 @@ type Config struct {
 	// as a pure function of (vehicle, group, regime, scenario, attempt)
 	// coordinates, which cells panic, corrupt their checkpoint restore,
 	// overrun their deadline, or crash the whole vehicle visit. An active
-	// plan disables cross-vehicle memoisation so every vehicle actually
-	// executes its cells. Nil means no injection (the supervisor still
-	// contains organic failures).
+	// plan makes the run vehicle-major so every vehicle actually executes
+	// its cells. Nil means no injection (the supervisor still contains
+	// organic failures).
 	Chaos *chaos.Plan
 	// VerifySample, when positive, cross-checks that deterministic fraction
 	// of batched (checkpoint-forked) cells against the cell-by-cell oracle
 	// inline. A mismatch is booked in the Health ledger, demotes the vehicle
 	// to the oracle path, and the oracle's result stands. Like Chaos, a
-	// non-zero sample rate disables memoisation.
+	// non-zero sample rate makes the run vehicle-major.
 	VerifySample float64
 	// MaxRetries bounds the supervisor's retry budget per rung: a failing
 	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
@@ -203,7 +211,8 @@ type Config struct {
 	// Run merges partial reports into the fleet result. Because vehicles
 	// are claimed in index order off an atomic cursor, completion order
 	// tracks index order and the emitter's reorder window stays near the
-	// worker count.
+	// worker count. A cell-major run emits once every cell has run, so
+	// every report carries the finished block.
 	OnVehicle func(*VehicleReport)
 }
 
@@ -258,8 +267,20 @@ func VehicleSeed(root uint64, index int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// VIN formats the deterministic vehicle identifier for an index.
-func VIN(index int) string { return fmt.Sprintf("VIN-%06d", index) }
+// VIN formats the deterministic vehicle identifier for an index: "VIN-"
+// and the index zero-padded to six digits, exactly fmt's "VIN-%06d"
+// without its per-call cost (every vehicle report carries one).
+func VIN(index int) string {
+	if index < 0 {
+		return fmt.Sprintf("VIN-%06d", index)
+	}
+	var b [24]byte
+	out := append(b[:0], "VIN-"...)
+	for p := 100000; p > 1 && index < p; p /= 10 {
+		out = append(out, '0')
+	}
+	return string(strconv.AppendInt(out, int64(index), 10))
+}
 
 // macCheck is one precomputed least-privilege probe: the security contexts
 // are built once per fleet run instead of re-rendering the SELinux type
@@ -285,25 +306,6 @@ type shared struct {
 	sup supervisorCfg
 }
 
-// vehicleMemo caches the parts of one worker's first fully-computed vehicle
-// that are provably invariant across vehicle seeds, so every later vehicle
-// the worker claims copies them instead of re-simulating. The invariance is
-// structural, not assumed: a vehicle seed's only consumer in the simulation
-// substrate is the bus error-injection RNG, attack cells always reset the
-// vehicle with error injection disabled (so attack aggregates never depend
-// on the seed), the MAC probe is a pure function of the derived module, and
-// the live phase consumes the RNG only when Config.ErrorRate is non-zero —
-// the one case liveOK is never set. One memo per worker (never shared):
-// writes stay single-owner like the arena they ride with.
-type vehicleMemo struct {
-	attacks               [][]attack.RegimeSummary // per-group aggregates, copied per vehicle
-	attacksOK             bool
-	live                  VehicleReport // live-phase counters only
-	liveOK                bool
-	macChecks, macAllowed int
-	macOK                 bool
-}
-
 // buildProbes precomputes the least-privilege probe contexts.
 func buildProbes(sh *shared) {
 	for _, m := range car.Catalog {
@@ -321,12 +323,28 @@ func buildProbes(sh *shared) {
 }
 
 // Run executes the fleet sweep and merges per-vehicle outcomes in vehicle
-// order. With Config.Groups set, the sweep is vehicle-major: each claimed
-// vehicle runs its live background phase once and then every group's
-// scenario×regime cells back to back on the same warm arena — one pass over
-// the fleet, no per-group barrier, no per-group worker-pool or arena
-// rebuild.
+// order. The default (batched, unsupervised) run is cell-major: every cell
+// is simulated once and the fleet derived from that block. A supervised run
+// (Chaos or VerifySample) and the NoBatch oracle are vehicle-major: each
+// claimed vehicle runs its live background phase once and then every
+// group's scenario×regime cells back to back on the same warm arena.
 func Run(cfg Config) (*FleetReport, error) {
+	sh, err := newShared(cfg)
+	if err != nil {
+		return nil, err
+	}
+	pool, err := newWorkerPool(sh)
+	if err != nil {
+		return nil, err
+	}
+	if sh.plans != nil && !sh.sup.chaotic() {
+		return sh.runCellMajor(pool)
+	}
+	return sh.runVehicleMajor(pool)
+}
+
+// newShared resolves the run's defaults and builds its shared artifacts.
+func newShared(cfg Config) (*shared, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
@@ -370,89 +388,210 @@ func Run(cfg Config) (*FleetReport, error) {
 		sh.macModule = module
 		buildProbes(sh)
 	}
+	return sh, nil
+}
 
-	// Work distribution is a shared atomic cursor, not a channel: the old
-	// unbuffered-channel dispatcher made the feeding goroutine a
-	// serialization point at fleet=1000 (one rendezvous per vehicle).
-	// Claiming indices with a fetch-add keeps vehicle order deterministic
-	// (reports are slotted by index) with zero coordination cost.
+// vehicleSeed is the seed of vehicle index: its live phase and its report
+// key on the first group's root.
+func (sh *shared) vehicleSeed(index int) uint64 {
+	return VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
+}
+
+// runCellMajor is the default sweep. Attack cells pin ErrorRate 0, and the
+// bus error RNG is the only consumer of a seed in the substrate, so a cell's
+// result does not depend on which vehicle runs it: the run simulates each
+// cell once and derives the fleet from that one block.
+//
+//   - Phase 1, cells: every group's prefix buckets are claimed off one
+//     cursor and run once, on the claiming worker's arena (fresh cars under
+//     FreshVehicles), every cell behind the supervisor's containment ladder.
+//   - Phase 2, live phase and MAC probe: once, when ErrorRate is zero;
+//     otherwise the live phase runs per vehicle in phase 3.
+//   - Phase 3, fold: each vehicle report is filled in its slot with what
+//     varies (index, VIN, seed, live counters, Health) and shares the one
+//     block; the fleet aggregates are the block scaled by the fleet size.
+//
+// Cell-phase containment events land once, on the run's first vehicle.
+func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
+	cfg := &sh.cfg
+	type unit struct{ group, bucket int }
+	var units []unit
+	for gi, p := range sh.plans {
+		for bi := 0; bi < p.Buckets(); bi++ {
+			units = append(units, unit{gi, bi})
+		}
+	}
+	sums := make([][]attack.RegimeSummary, len(units))
+	healths := make([]Health, len(units))
+	cellErr := pool.each(len(units), func(ar *arena, k int) error {
+		u := units[k]
+		g := &cfg.Groups[u.group]
+		var demoted bool
+		e := sh.newCellExec(ar, &healths[k], cfg.IndexOffset, u.group, &demoted)
+		if ar != nil {
+			e.br = ar.att.NewBucketRun(sh.plans[u.group], u.bucket)
+		} else {
+			e.cells = sh.plans[u.group].Bucket(u.bucket)
+		}
+		var err error
+		if sums[k], err = runGroupCells(e, g); err != nil {
+			return fmt.Errorf("group %d (%q): %w", u.group, g.Name, err)
+		}
+		return nil
+	})
+	block := make([][]attack.RegimeSummary, len(cfg.Groups))
+	for gi := range cfg.Groups {
+		block[gi] = make([]attack.RegimeSummary, len(cfg.Groups[gi].Regimes))
+		for ri, enf := range cfg.Groups[gi].Regimes {
+			block[gi][ri].Regime = enf
+		}
+	}
+	var cellHealth Health
+	for k, u := range units {
+		for ri := range sums[k] {
+			block[u.group][ri].Summary.Merge(sums[k][ri].Summary)
+		}
+		cellHealth.Merge(healths[k])
+	}
+
+	tmpl := VehicleReport{Groups: block, Attacks: foldGroups(block)}
+	perVehicleLive := !cfg.SkipLive && cfg.ErrorRate != 0
+	var onceErr error
+	if !cfg.SkipLive && !perVehicleLive {
+		tmpl.Seed = sh.vehicleSeed(cfg.IndexOffset)
+		onceErr = sh.runLive(pool.arenas[0], &tmpl)
+	}
+	if !cfg.SkipMAC {
+		onceErr = errors.Join(onceErr, sh.runMAC(pool.arenas[0], &tmpl))
+	}
+
 	reports := make([]VehicleReport, cfg.Fleet)
-	errs := make([]error, cfg.Fleet)
 	var emit *orderedEmit
 	if cfg.OnVehicle != nil {
 		emit = newOrderedEmit(cfg.OnVehicle, reports)
 	}
-	var next atomic.Int64
+	vehErr := pool.each(cfg.Fleet, func(ar *arena, i int) error {
+		rep := &reports[i]
+		*rep = tmpl
+		index := i + cfg.IndexOffset
+		rep.Index, rep.VIN, rep.Seed = index, VIN(index), sh.vehicleSeed(index)
+		if i == 0 {
+			rep.Health = cellHealth
+		}
+		var err error
+		if perVehicleLive {
+			err = sh.runLive(ar, rep)
+		}
+		if emit != nil {
+			emit.complete(i)
+		}
+		return err
+	})
+	return mergeScaled(*cfg, reports, block), errors.Join(cellErr, onceErr, vehErr)
+}
+
+// runVehicleMajor is the supervised and oracle sweep: every vehicle visit
+// runs all of its cells itself, so chaos faults land on the vehicles they
+// are rolled for and the Health ledger counts what each vehicle executed.
+func (sh *shared) runVehicleMajor(pool *workerPool) (*FleetReport, error) {
+	cfg := &sh.cfg
+	reports := make([]VehicleReport, cfg.Fleet)
+	var emit *orderedEmit
+	if cfg.OnVehicle != nil {
+		emit = newOrderedEmit(cfg.OnVehicle, reports)
+	}
+	err := pool.each(cfg.Fleet, func(ar *arena, i int) error {
+		// Simulate under the global fleet index (shifted by the shard
+		// offset); the report still lands in the local slot so merge order
+		// stays range-local.
+		var err error
+		reports[i], err = sh.runVehicle(ar, i+cfg.IndexOffset)
+		if emit != nil {
+			emit.complete(i)
+		}
+		return err
+	})
+	// Unrecoverable vehicles surface as an error, but the sweep still merges
+	// what every vehicle did complete: callers flush the partial fleet
+	// report (with its Health ledger) alongside the failure.
+	return merge(*cfg, reports), err
+}
+
+// workerPool is the run's bounded set of workers. Each owns one pooled
+// arena (none under FreshVehicles), built once and kept across the run's
+// phases.
+type workerPool struct {
+	arenas []*arena
+}
+
+// newWorkerPool builds one arena per worker, in parallel. Arena
+// construction only fails on programming errors, which fail the run.
+func newWorkerPool(sh *shared) (*workerPool, error) {
+	p := &workerPool{arenas: make([]*arena, sh.cfg.Workers)}
+	if sh.cfg.FreshVehicles {
+		return p, nil
+	}
+	errs := make([]error, len(p.arenas))
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
+	for w := range p.arenas {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var ar *arena
-			if !cfg.FreshVehicles {
-				var err error
-				if ar, err = newArena(sh); err != nil {
-					// Arena construction only fails on programming errors;
-					// record it once, then drain this worker's share of the
-					// cursor so the run still terminates.
-					reported := false
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= cfg.Fleet {
-							return
-						}
-						if !reported {
-							errs[i] = err
-							reported = true
-						}
-						if emit != nil {
-							emit.complete(i)
-						}
-					}
-				}
-			}
-			var memo *vehicleMemo
-			// Memoisation is off whenever supervision is armed: memoised
-			// vehicles execute no cells, which would both dodge their
-			// injected faults and leave the Health ledger dependent on
-			// which vehicles each worker happened to compute first.
-			if !cfg.NoBatch && !sh.sup.chaotic() {
-				memo = &vehicleMemo{}
-			}
+			p.arenas[w], errs[w] = newArena(sh)
+		}()
+	}
+	wg.Wait()
+	return p, errors.Join(errs...)
+}
+
+// each runs fn for every index in [0, n) across the pool, passing the
+// claiming worker's arena. Work is claimed off a shared atomic cursor, not
+// a channel: an unbuffered-channel dispatcher made the feeding goroutine a
+// serialisation point (one rendezvous per vehicle), while a fetch-add keeps
+// claims in index order at zero coordination cost. The failed indices'
+// errors are joined in index order, so the error does not depend on which
+// worker ran what.
+func (p *workerPool) each(n int, fn func(ar *arena, i int) error) error {
+	type failure struct {
+		i   int
+		err error
+	}
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed []failure
+	)
+	for _, ar := range p.arenas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= cfg.Fleet {
+				if i >= n {
 					return
 				}
-				// Simulate under the global fleet index (shifted by the
-				// shard offset); the report still lands in the local slot so
-				// merge order stays range-local.
-				if ar != nil {
-					reports[i], errs[i] = ar.runVehicle(sh, i+cfg.IndexOffset, memo)
-				} else {
-					reports[i], errs[i] = runVehicle(sh, i+cfg.IndexOffset, memo)
-				}
-				if emit != nil {
-					emit.complete(i)
+				if err := fn(ar, i); err != nil {
+					mu.Lock()
+					failed = append(failed, failure{i, err})
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		// Unrecoverable vehicles surface as an error, but the sweep still
-		// merges what every vehicle did complete: callers flush the partial
-		// fleet report (with its Health ledger) alongside the failure.
-		return merge(cfg, reports), err
+	slices.SortFunc(failed, func(a, b failure) int { return a.i - b.i })
+	errs := make([]error, len(failed))
+	for k, f := range failed {
+		errs[k] = f.err
 	}
-	return merge(cfg, reports), nil
+	return errors.Join(errs...)
 }
 
 // arena is one worker's reusable vehicle stack: the attack arena (car +
 // pooled policy engines) and a single-owner MAC server with the derived
-// module loaded. Constructed once per worker; every vehicle the worker
-// claims resets it in place instead of rebuilding ~7000 topologies per
-// thousand-vehicle sweep.
+// module loaded. Constructed once per worker and reset in place for every
+// cell, live phase and probe the worker runs.
 type arena struct {
 	att *attack.Arena
 	srv *mac.Server
@@ -473,235 +612,131 @@ func newArena(sh *shared) (*arena, error) {
 	return a, nil
 }
 
-// runVehicle is the pooled counterpart of the package-level runVehicle:
-// identical phases, identical outcomes, zero reconstruction. One call is one
-// supervised vehicle *visit*: the live phase once, then every scenario
-// group's cells back to back on the same warm arena, each cell behind the
+// runVehicle is one supervised vehicle visit of the vehicle-major sweep, on
+// the worker's arena (on fresh cars, the reference path pooled runs are
+// compared against, when ar is nil): the live phase, the MAC probe, then
+// every scenario group's cells back to back, each cell behind the
 // supervisor's containment ladder — cross-group isolation rests on the
 // arena's reset-equals-fresh contract, which resets the vehicle per cell. A
-// non-nil memo (the batched, unsupervised default) reuses the worker's first
-// vehicle's seed-invariant phases for every later one. A crash (injected or
-// organic panic at visit scope) rebuilds the worker's arena and re-runs the
-// vehicle.
-func (a *arena) runVehicle(sh *shared, index int, memo *vehicleMemo) (VehicleReport, error) {
-	return superviseVisit(&sh.sup,
-		func(attempt int, h *Health) (VehicleReport, error) {
-			return a.visit(sh, index, memo, attempt, h)
-		},
-		func() error {
+// crash (injected or organic panic at visit scope) rebuilds the worker's
+// arena and re-runs the vehicle; fresh visits have no stack to rebuild.
+func (sh *shared) runVehicle(ar *arena, index int) (VehicleReport, error) {
+	var rebuild func() error
+	if ar != nil {
+		rebuild = func() error {
 			na, err := newArena(sh)
 			if err != nil {
 				return err
 			}
-			*a = *na
+			*ar = *na
 			return nil
-		})
-}
-
-// visit is one attempt of one pooled vehicle visit.
-func (a *arena) visit(sh *shared, index int, memo *vehicleMemo, attempt int, h *Health) (rep VehicleReport, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%w: vehicle %d: %v", ErrVehicleCrash, index, p)
-		}
-	}()
-	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
-	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
-
-	// Live background simulation on the reset vehicle with re-provisioned
-	// pooled engines.
-	if !sh.cfg.SkipLive {
-		if memo != nil && memo.liveOK {
-			copyLive(&rep, &memo.live)
-		} else {
-			c, lerr := a.att.StartLive(car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
-			if lerr != nil {
-				return rep, lerr
-			}
-			c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
-			c.Scheduler().Run()
-			collectLive(&rep, c)
-			if memo != nil && sh.cfg.ErrorRate == 0 {
-				copyLive(&memo.live, &rep)
-				memo.liveOK = true
-			}
 		}
 	}
-
-	// MAC least-privilege probe on the reset pooled server.
-	if !sh.cfg.SkipMAC {
-		if memo != nil && memo.macOK {
-			rep.MACChecks, rep.MACAllowed = memo.macChecks, memo.macAllowed
-		} else {
-			a.srv.Reset()
-			macProbe(&rep, a.srv, sh)
-			if memo != nil {
-				memo.macChecks, memo.macAllowed = rep.MACChecks, rep.MACAllowed
-				memo.macOK = true
-			}
-		}
-	}
-
-	// Every group's scenario×regime block on the pooled vehicle, reseeded
-	// per group so each block is a pure function of (group root, index),
-	// every cell supervised. The demotion latch spans the visit: once any
-	// cell falls back to the oracle, the rest of the vehicle follows.
-	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
-	if memo != nil && memo.attacksOK {
-		for gi := range memo.attacks {
-			rep.Groups[gi] = append([]attack.RegimeSummary(nil), memo.attacks[gi]...)
-		}
-	} else {
-		var demoted bool
-		for gi := range sh.cfg.Groups {
-			g := &sh.cfg.Groups[gi]
-			if sh.sup.plan.CrashFault(index, gi, attempt) {
-				panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
-			}
-			gseed := VehicleSeed(g.RootSeed, index)
-			a.att.SetSeed(gseed)
-			e := &cellExec{
-				sup: &sh.sup, health: h, sh: sh, owner: a,
-				vehicle: index, group: gi, seed: gseed, demoted: &demoted,
-			}
-			if sh.plans != nil {
-				e.br = a.att.NewBatchRun(sh.plans[gi])
-			}
-			sums, gerr := runGroupCells(e, g)
-			rep.Groups[gi] = sums
-			if gerr != nil {
-				return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
-			}
-		}
-		memoizeAttacks(memo, rep.Groups)
-	}
-	rep.Attacks = foldGroups(rep.Groups)
-	return rep, nil
-}
-
-// memoizeAttacks stores deep copies of one vehicle's per-group aggregates in
-// the worker memo. Copies both ways (store and replay) — a memoized slice
-// must never alias a report's, or foldGroups merging into one vehicle's view
-// would corrupt every later vehicle's.
-func memoizeAttacks(memo *vehicleMemo, groups [][]attack.RegimeSummary) {
-	if memo == nil {
-		return
-	}
-	memo.attacks = make([][]attack.RegimeSummary, len(groups))
-	for gi := range groups {
-		memo.attacks[gi] = append([]attack.RegimeSummary(nil), groups[gi]...)
-	}
-	memo.attacksOK = true
-}
-
-// copyLive copies the live-phase counters between vehicle reports.
-func copyLive(dst, src *VehicleReport) {
-	dst.FramesDelivered = src.FramesDelivered
-	dst.BusErrors = src.BusErrors
-	dst.WriteBlocked = src.WriteBlocked
-	dst.ReadBlocked = src.ReadBlocked
-	dst.AbortedTx = src.AbortedTx
-	dst.Utilisation = src.Utilisation
-	dst.SchedulerSteps = src.SchedulerSteps
-}
-
-// runVehicle simulates one vehicle end to end from scratch: the live
-// background simulation with a provisioned HPE stack, the MAC
-// least-privilege probe, and every scenario group's attack sweep (each cell
-// on a freshly constructed car — the reference path pooled runs are
-// compared against), every cell supervised. The memo behaves exactly as in
-// the pooled variant; the first vehicle a worker computes still runs cell by
-// cell on fresh cars, so fresh batched runs exercise no checkpointing, only
-// memo reuse. Fresh visits have no worker stack to rebuild, so a crash
-// retry simply re-runs the vehicle.
-func runVehicle(sh *shared, index int, memo *vehicleMemo) (VehicleReport, error) {
 	return superviseVisit(&sh.sup,
 		func(attempt int, h *Health) (VehicleReport, error) {
-			return visitFresh(sh, index, memo, attempt, h)
-		}, nil)
+			return sh.visit(ar, index, attempt, h)
+		}, rebuild)
 }
 
-// visitFresh is one attempt of one fresh-construction vehicle visit.
-func visitFresh(sh *shared, index int, memo *vehicleMemo, attempt int, h *Health) (rep VehicleReport, err error) {
+// visit is one attempt of one vehicle visit.
+func (sh *shared) visit(ar *arena, index, attempt int, h *Health) (rep VehicleReport, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("%w: vehicle %d: %v", ErrVehicleCrash, index, p)
 		}
 	}()
-	seed := VehicleSeed(sh.cfg.Groups[0].RootSeed, index)
-	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: seed}
-
-	// Live background simulation: this vehicle's own scheduler, bus, car and
-	// deployed policy engines, driven over the configured horizon.
+	rep = VehicleReport{Index: index, VIN: VIN(index), Seed: sh.vehicleSeed(index)}
 	if !sh.cfg.SkipLive {
-		if memo != nil && memo.liveOK {
-			copyLive(&rep, &memo.live)
-		} else {
-			c, err := car.New(car.Config{Seed: seed, ErrorRate: sh.cfg.ErrorRate})
-			if err != nil {
-				return rep, err
-			}
-			if _, err := sh.harness.DeployEngines(c.Bus(), c, car.AllNodes...); err != nil {
-				return rep, err
-			}
-			c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
-			c.Scheduler().Run()
-			collectLive(&rep, c)
-			if memo != nil && sh.cfg.ErrorRate == 0 {
-				copyLive(&memo.live, &rep)
-				memo.liveOK = true
-			}
+		if err := sh.runLive(ar, &rep); err != nil {
+			return rep, err
 		}
 	}
-
-	// MAC stack: a per-vehicle server loaded with the derived
-	// type-enforcement module.
 	if !sh.cfg.SkipMAC {
-		if memo != nil && memo.macOK {
-			rep.MACChecks, rep.MACAllowed = memo.macChecks, memo.macAllowed
-		} else {
-			srv := mac.NewServer()
-			if err := srv.Load(sh.macModule); err != nil {
-				return rep, err
-			}
-			macProbe(&rep, srv, sh)
-			if memo != nil {
-				memo.macChecks, memo.macAllowed = rep.MACChecks, rep.MACAllowed
-				memo.macOK = true
-			}
+		if err := sh.runMAC(ar, &rep); err != nil {
+			return rep, err
 		}
 	}
 
-	// Every group's scenario×regime sweep, seeded per group with this
-	// vehicle's group-derived seed, every cell supervised on its own fresh
-	// car.
+	// Every group's scenario×regime block, reseeded per group so each block
+	// is a pure function of (group root, index), every cell supervised. The
+	// demotion latch spans the visit: once any cell falls back to the
+	// oracle, the rest of the vehicle follows.
 	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
-	if memo != nil && memo.attacksOK {
-		for gi := range memo.attacks {
-			rep.Groups[gi] = append([]attack.RegimeSummary(nil), memo.attacks[gi]...)
+	var demoted bool
+	for gi := range sh.cfg.Groups {
+		g := &sh.cfg.Groups[gi]
+		if sh.sup.plan.CrashFault(index, gi, attempt) {
+			panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
 		}
-	} else {
-		var demoted bool
-		for gi := range sh.cfg.Groups {
-			g := &sh.cfg.Groups[gi]
-			if sh.sup.plan.CrashFault(index, gi, attempt) {
-				panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
-			}
-			gseed := VehicleSeed(g.RootSeed, index)
-			e := &cellExec{
-				sup: &sh.sup, health: h, sh: sh, hv: sh.harness.WithSeed(gseed),
-				vehicle: index, group: gi, seed: gseed, demoted: &demoted,
-			}
-			sums, gerr := runGroupCells(e, g)
-			rep.Groups[gi] = sums
-			if gerr != nil {
-				return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
-			}
+		e := sh.newCellExec(ar, h, index, gi, &demoted)
+		if ar != nil && sh.plans != nil {
+			e.br = ar.att.NewBatchRun(sh.plans[gi])
 		}
-		memoizeAttacks(memo, rep.Groups)
+		sums, gerr := runGroupCells(e, g)
+		rep.Groups[gi] = sums
+		if gerr != nil {
+			return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
+		}
 	}
 	rep.Attacks = foldGroups(rep.Groups)
 	return rep, nil
+}
+
+// newCellExec prepares supervision of group gi's cells for vehicle index:
+// on the worker's arena, reseeded with the vehicle's group seed, or on
+// fresh cars when ar is nil. The caller picks the batched cursor, if any.
+func (sh *shared) newCellExec(ar *arena, h *Health, index, gi int, demoted *bool) *cellExec {
+	seed := VehicleSeed(sh.cfg.Groups[gi].RootSeed, index)
+	e := &cellExec{
+		sup: &sh.sup, health: h, sh: sh,
+		vehicle: index, group: gi, seed: seed, demoted: demoted,
+	}
+	if ar != nil {
+		ar.att.SetSeed(seed)
+		e.owner = ar
+	} else {
+		e.hv = sh.harness.WithSeed(seed)
+	}
+	return e
+}
+
+// runLive runs the live background simulation under rep.Seed — on the
+// worker's reset arena with re-provisioned pooled engines, or on a fresh
+// car with freshly deployed engines when ar is nil — and books its bus and
+// scheduler counters into rep.
+func (sh *shared) runLive(ar *arena, rep *VehicleReport) error {
+	ccfg := car.Config{Seed: rep.Seed, ErrorRate: sh.cfg.ErrorRate}
+	var c *car.Car
+	var err error
+	if ar != nil {
+		c, err = ar.att.StartLive(ccfg)
+	} else if c, err = car.New(ccfg); err == nil {
+		_, err = sh.harness.DeployEngines(c.Bus(), c, car.AllNodes...)
+	}
+	if err != nil {
+		return err
+	}
+	c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
+	c.Scheduler().Run()
+	collectLive(rep, c)
+	return nil
+}
+
+// runMAC runs the least-privilege probe on the worker's reset MAC server,
+// or on a fresh server loaded with the derived module when ar is nil.
+func (sh *shared) runMAC(ar *arena, rep *VehicleReport) error {
+	var srv *mac.Server
+	if ar != nil {
+		srv = ar.srv
+		srv.Reset()
+	} else {
+		srv = mac.NewServer()
+		if err := srv.Load(sh.macModule); err != nil {
+			return err
+		}
+	}
+	macProbe(rep, srv, sh)
+	return nil
 }
 
 // foldGroups flattens per-group regime summaries into one aggregate per
@@ -775,6 +810,25 @@ func Merge(cfg Config, vehicles []VehicleReport) (*FleetReport, error) {
 		return nil, err
 	}
 	return merge(cfg, vehicles), nil
+}
+
+// mergeScaled is merge for a cell-major run, whose vehicles all share one
+// group block: the fleet's group aggregates are the block scaled by the
+// fleet size (exactly the fold of that many copies, the counters being
+// integers), while bus counters, Health and the utilisation sum still fold
+// vehicle by vehicle in index order.
+func mergeScaled(cfg Config, vehicles []VehicleReport, block [][]attack.RegimeSummary) *FleetReport {
+	m := newMergeFold(cfg)
+	for i := range vehicles {
+		m.foldCounters(&vehicles[i])
+	}
+	for gi := range block {
+		for ri := range block[gi] {
+			m.fr.Groups[gi].Regimes[ri].Summary = block[gi][ri].Summary.Scale(len(vehicles))
+		}
+	}
+	m.fr.Vehicles = vehicles
+	return m.finish()
 }
 
 // merge folds per-vehicle reports (in index order) into the fleet report:

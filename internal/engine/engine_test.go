@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -40,6 +41,27 @@ func TestVehicleSeedDeterministicAndDistinct(t *testing.T) {
 	}
 	if VehicleSeed(1, 0) == VehicleSeed(2, 0) {
 		t.Error("different roots produced the same vehicle seed")
+	}
+}
+
+func TestVINMatchesSprintf(t *testing.T) {
+	for _, tc := range []struct {
+		index int
+		want  string
+	}{
+		{0, "VIN-000000"},
+		{7, "VIN-000007"},
+		{999999, "VIN-999999"},
+		{1000000, "VIN-1000000"},
+	} {
+		if got := VIN(tc.index); got != tc.want {
+			t.Errorf("VIN(%d) = %q, want %q", tc.index, got, tc.want)
+		}
+	}
+	for i := -3; i < 3_000_000; i += 1 + i/100 {
+		if got, want := VIN(i), fmt.Sprintf("VIN-%06d", i); got != want {
+			t.Fatalf("VIN(%d) = %q, fmt gives %q", i, got, want)
+		}
 	}
 }
 

@@ -31,7 +31,11 @@ func NewMergeFold(cfg Config) (*MergeFold, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	return newMergeFold(cfg), nil
+	m := newMergeFold(cfg)
+	// The fold retains every vehicle of the fleet: size the slice once
+	// instead of growing it through ~log(Fleet) copies.
+	m.fr.Vehicles = make([]VehicleReport, 0, cfg.Fleet)
+	return m, nil
 }
 
 // newMergeFold builds the fold over an already-defaulted config.
@@ -63,10 +67,21 @@ func (m *MergeFold) Add(v VehicleReport) {
 	m.fr.Vehicles = append(m.fr.Vehicles, v)
 }
 
-// fold accumulates one vehicle's counters — the exact per-vehicle
-// statement order of the original batch merge, which is what pins the
-// float summation order byte-identity rests on.
+// fold accumulates one vehicle's counters and group aggregates — the exact
+// per-vehicle statement order of the original batch merge, which is what
+// pins the float summation order byte-identity rests on.
 func (m *MergeFold) fold(v *VehicleReport) {
+	m.foldCounters(v)
+	for gi := range v.Groups {
+		for ri := range v.Groups[gi] {
+			m.fr.Groups[gi].Regimes[ri].Summary.Merge(v.Groups[gi][ri].Summary)
+		}
+	}
+}
+
+// foldCounters accumulates everything of one vehicle but its group
+// aggregates.
+func (m *MergeFold) foldCounters(v *VehicleReport) {
 	fr := m.fr
 	fr.Health.Merge(v.Health)
 	fr.FramesDelivered += v.FramesDelivered
@@ -77,11 +92,6 @@ func (m *MergeFold) fold(v *VehicleReport) {
 	fr.MACChecks += v.MACChecks
 	fr.MACAllowed += v.MACAllowed
 	m.utilSum += v.Utilisation
-	for gi := range v.Groups {
-		for ri := range v.Groups[gi] {
-			fr.Groups[gi].Regimes[ri].Summary.Merge(v.Groups[gi][ri].Summary)
-		}
-	}
 }
 
 // Finish closes the fold and returns the fleet report. The MergeFold must

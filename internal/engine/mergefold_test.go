@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
 )
@@ -116,5 +119,46 @@ func TestOnVehicleFiresOnFailedRun(t *testing.T) {
 	}
 	if fired != cfg.Fleet {
 		t.Fatalf("OnVehicle fired %d times on a failed run, want %d (errored vehicles emit too)", fired, cfg.Fleet)
+	}
+}
+
+// TestCellMajorHealthOnFirstVehicle: a cell-major run books its cell-phase
+// containment events once, on its first vehicle, whatever the worker count,
+// and a MergeFold over the emitted vehicles equals the engine's own merge.
+// A 1ns virtual-time budget makes every pooled cell overrun, so the ledger
+// fills organically (no chaos plan, so the run stays cell-major).
+func TestCellMajorHealthOnFirstVehicle(t *testing.T) {
+	for _, budget := range []time.Duration{0, time.Nanosecond} {
+		var want Health
+		for _, workers := range []int{1, 3} {
+			cfg := quickConfig(5, workers)
+			cfg.CellTimeBudget = budget
+			fold, err := NewMergeFold(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.OnVehicle = func(v *VehicleReport) { fold.Add(*v) }
+			fr, err := Run(cfg)
+			if budget > 0 && !errors.Is(err, ErrUnrecoverable) {
+				t.Fatalf("budget %v: err = %v, want ErrUnrecoverable", budget, err)
+			} else if budget == 0 && err != nil {
+				t.Fatal(err)
+			}
+			if fr.Health != fr.Vehicles[0].Health {
+				t.Errorf("budget %v workers %d: fleet health %+v is not the first vehicle's %+v",
+					budget, workers, fr.Health, fr.Vehicles[0].Health)
+			}
+			if budget > 0 && fr.Health.DeadlineOverruns == 0 {
+				t.Errorf("budget %v: no deadline overruns booked", budget)
+			}
+			if workers == 1 {
+				want = fr.Health
+			} else if fr.Health != want {
+				t.Errorf("budget %v: health moved with the worker count: %+v vs %+v", budget, fr.Health, want)
+			}
+			if got := fold.Finish(); !reflect.DeepEqual(got, fr) {
+				t.Errorf("budget %v workers %d: MergeFold over the emitted vehicles differs from the run's merge", budget, workers)
+			}
+		}
 	}
 }

@@ -19,6 +19,9 @@ type VehicleReport struct {
 	// Attacks holds one aggregate per enforcement regime, keyed by first
 	// appearance across the vehicle's scenario groups. For the legacy
 	// single-group run this is exactly the group's sweep-order aggregates.
+	//
+	// Attacks and Groups are read-only: in a cell-major run every vehicle
+	// report points at the same shared block.
 	Attacks []attack.RegimeSummary
 	// Groups holds one regime-summary block per scenario group, in group
 	// order — the per-vehicle slice the campaign executor folds from.
@@ -38,8 +41,9 @@ type VehicleReport struct {
 	MACChecks  int
 	MACAllowed int
 	// Health is the vehicle's containment ledger: every quarantine, retry,
-	// demotion and verification event of the supervised visit (zero on the
-	// unsupervised fast path).
+	// demotion and verification event of the supervised visit. A cell-major
+	// run books its cell-phase events on its first vehicle; the others
+	// carry none.
 	Health Health
 }
 

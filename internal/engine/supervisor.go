@@ -65,9 +65,9 @@ type supervisorCfg struct {
 }
 
 // chaotic reports whether fault injection or inline verification is armed —
-// the modes that disable cross-vehicle memoisation, because memoised
-// vehicles execute no cells and would make the Health ledger depend on
-// which vehicles each worker happened to compute.
+// the modes that keep the sweep vehicle-major, because chaos faults and
+// verify samples are rolled per vehicle, and a cell-major run executes no
+// cells on behalf of any particular vehicle.
 func (s *supervisorCfg) chaotic() bool { return s.plan.Active() || s.verify > 0 }
 
 // backoff returns the capped virtual backoff recorded before retry n
@@ -83,9 +83,10 @@ func backoff(n int) time.Duration {
 	return d
 }
 
-// cellExec supervises one scenario group's cells for one vehicle. Exactly
-// one execution backend is set: br for the pooled batched path, owner (with
-// br nil) for the pooled oracle path, hv for the fresh-construction path.
+// cellExec supervises one scenario group's cells for one vehicle (or, in a
+// cell-major run, one prefix bucket of them). Exactly one execution backend
+// is set: br for the pooled batched path, owner (with br nil) for the pooled
+// oracle path, hv for the fresh-construction path.
 type cellExec struct {
 	sup    *supervisorCfg
 	health *Health
@@ -93,6 +94,7 @@ type cellExec struct {
 	owner  *arena           // pooled vehicle stack; nil on the fresh path
 	br     *attack.BatchRun // batched cursor; nil on oracle/fresh paths
 	hv     *attack.Harness  // fresh-path harness, seed applied
+	cells  []int            // scenario indices the oracle/fresh walk covers (nil: all)
 
 	vehicle, group int
 	seed           uint64 // the group seed, re-applied after arena rebuilds
@@ -250,11 +252,11 @@ func (e *cellExec) maybeVerify(r attack.Result, sci, ri, attempt int) (attack.Re
 	return r, nil
 }
 
-// runGroupCells executes one group's cells under supervision and folds them
-// into per-regime aggregates — the supervised equivalent of
-// RunSummariesBatched (batched backend) or runSummaries (oracle and fresh
-// backends), walking the identical cell order so a fault-free supervised
-// sweep folds byte-identical aggregates.
+// runGroupCells executes one group's cells (those of e.br's cursor, or
+// e.cells) under supervision and folds them into per-regime aggregates —
+// the supervised equivalent of RunSummariesBatched (batched backend) or
+// runSummaries (oracle and fresh backends), walking the identical cell order
+// so a fault-free supervised sweep folds byte-identical aggregates.
 func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error) {
 	out := make([]attack.RegimeSummary, len(g.Regimes))
 	for i, enf := range g.Regimes {
@@ -271,7 +273,15 @@ func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error
 		}
 		return out, nil
 	}
-	for sci := range g.Scenarios {
+	n := len(g.Scenarios)
+	if e.cells != nil {
+		n = len(e.cells)
+	}
+	for k := 0; k < n; k++ {
+		sci := k
+		if e.cells != nil {
+			sci = e.cells[k]
+		}
 		for ri, enf := range g.Regimes {
 			r, err := e.runCell(g.Scenarios[sci], sci, ri, enf)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
@@ -137,11 +138,14 @@ func TestRolloutTinyFleet(t *testing.T) {
 	// With 3 vehicles the 1% and 10% stages are empty; everyone updates in
 	// later stages and nobody is skipped or hit twice.
 	applied := map[string]int{}
+	var mu sync.Mutex // a stage applies on parallel workers
 	var vehicles []Vehicle
 	for i := 0; i < 3; i++ {
 		id := fmt.Sprintf("V-%d", i)
 		vehicles = append(vehicles, VehicleFunc{VID: id, Fn: func(*policy.Bundle) error {
+			mu.Lock()
 			applied[id]++
+			mu.Unlock()
 			return nil
 		}})
 	}
@@ -192,7 +196,9 @@ func TestReportString(t *testing.T) {
 }
 
 func TestRolloutDeterministicOrder(t *testing.T) {
-	// Vehicles are attempted in ID order regardless of input order.
+	// Vehicles are attempted in ID order regardless of input order. One
+	// worker: with parallel workers the attempts interleave, and the order
+	// they are dispatched in is all a stage promises.
 	var order []string
 	mk := func(id string) Vehicle {
 		return VehicleFunc{VID: id, Fn: func(*policy.Bundle) error {
@@ -201,7 +207,7 @@ func TestRolloutDeterministicOrder(t *testing.T) {
 		}}
 	}
 	vehicles := []Vehicle{mk("C"), mk("A"), mk("B")}
-	if _, err := Rollout(vehicles, testBundle(t, 1), Plan{Stages: []float64{1}, AbortThreshold: 0.1}); err != nil {
+	if _, err := Rollout(vehicles, testBundle(t, 1), Plan{Stages: []float64{1}, AbortThreshold: 0.1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if order[0] != "A" || order[1] != "B" || order[2] != "C" {

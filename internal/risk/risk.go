@@ -23,11 +23,11 @@
 // across worker counts and pooled/fresh arenas, so profiles are too. Family
 // sub-seeds derive from the synthesized spec's seed through the stack's
 // shared SplitMix64 step (campaign.Compiler), so sub-campaigns decorrelate
-// deterministically. The sweep underneath is the vehicle-major executor
-// (one engine pass over the fleet, every synthesized family per vehicle
-// visit — see campaign.Sweep), which Calibrate inherits transparently: the
-// family blocks it folds arrive in the same declaration order with the
-// same per-(family, vehicle) seeds as the retired family-major sweeps.
+// deterministically. The sweep underneath is campaign.Sweep (one engine
+// run over every synthesized family), which Calibrate inherits
+// transparently: the family blocks it folds arrive in the same declaration
+// order with the same per-(family, vehicle) seeds as the retired
+// family-major sweeps.
 package risk
 
 import (
