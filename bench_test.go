@@ -579,15 +579,59 @@ func BenchmarkCampaignSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckpointAblation (E9) ablates prefix checkpointing per scenario
+// kind: each kind's quickstart families (mutate: 186 scenarios, flood: 8,
+// staged: 16) swept on one vehicle and one worker, batched (each prefix
+// bucket replays its shared pre-attack prefix once and forks the remaining
+// cells from a checkpoint) versus the NoBatch oracle (every cell from a
+// reset arena). At fleet 1 cell-major scaling has nothing to scale, so the
+// delta is checkpointing alone; the harness is built once, outside the
+// timed loop, so policy compilation does not dilute it. EXPERIMENTS.md §8
+// records the result.
+func BenchmarkCheckpointAblation(b *testing.B) {
+	plan := loadCampaign(b, "examples/campaigns/quickstart.campaign")
+	h, err := attack.NewHarnessBackend("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []string{"mutate", "flood", "staged"} {
+		sub := *plan
+		sub.Families = nil
+		for _, fam := range plan.Families {
+			if fam.Kind == kind {
+				sub.Families = append(sub.Families, fam)
+			}
+		}
+		for _, mode := range []struct {
+			name    string
+			noBatch bool
+		}{{"batched", false}, {"oracle", true}} {
+			b.Run(fmt.Sprintf("kind=%s/%s", kind, mode.name), func(b *testing.B) {
+				var rep *campaign.CampaignReport
+				for i := 0; i < b.N; i++ {
+					var err error
+					rep, err = campaign.Sweep(&sub, campaign.SweepConfig{
+						Fleet: 1, Workers: 1, RootSeed: 42, Harness: h, NoBatch: mode.noBatch,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(rep.Cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+			})
+		}
+	}
+}
+
 // BenchmarkShardedSweep (E7) sweeps the quickstart campaign through the
 // internal/shard partition-and-merge layer: the fleet index space split into
 // contiguous ranges, each range an independent engine run, the merged report
 // byte-identical to the unsharded sweep (global-index seeding keeps every
 // trajectory pinned; the merge refolds vehicle reports in range order).
-// shards=1 exercises the partition/merge machinery on a single range, so the
-// delta versus BenchmarkCampaignSweep/quickstart/fleet=1000 is the layer's
-// overhead; shards=4 measures the per-range fan-out. BENCH_7.json gates
-// shards=4 — the row behind the million-vehicle quickstart path.
+// shards=1 is shard.Run's unsharded dispatch (one range, no spawn hook: a
+// plain engine.Run), so it tracks BenchmarkCampaignSweep/quickstart/fleet=1000;
+// shards=4 measures the per-range fan-out and its merge fold. BENCH_7.json
+// gates shards=4 — the row behind the million-vehicle quickstart path.
 func BenchmarkShardedSweep(b *testing.B) {
 	plan := loadCampaign(b, "examples/campaigns/quickstart.campaign")
 	for _, shards := range []int{1, 4} {
@@ -631,10 +675,8 @@ func wireBenchVehicles(b *testing.B, fleet int) []engine.VehicleReport {
 }
 
 // BenchmarkShardWireEncode (E8) measures shard transport encoding: one full
-// shard stream (header + per-vehicle frames + trailer) on the binary wire
-// versus the PR 9 JSON document for the same vehicles. bytes/vehicle is the
-// wire-size series BENCH_8.json snapshots — the binary wire's headline claim
-// is >=5x smaller per vehicle than JSON.
+// shard stream (header + per-vehicle frames + trailer) on the binary wire.
+// bytes/vehicle is the wire-size series BENCH_8.json snapshots.
 func BenchmarkShardWireEncode(b *testing.B) {
 	vs := wireBenchVehicles(b, 64)
 	b.Run("wire=binary", func(b *testing.B) {
@@ -655,23 +697,10 @@ func BenchmarkShardWireEncode(b *testing.B) {
 		b.ReportMetric(float64(buf.Len())/float64(len(vs)), "bytes/vehicle")
 		b.ReportMetric(float64(len(vs))*float64(b.N)/b.Elapsed().Seconds(), "vehicles/s")
 	})
-	b.Run("wire=json", func(b *testing.B) {
-		var buf bytes.Buffer
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			w := &shard.WireReport{Range: shard.Range{Start: 0, Count: len(vs)}, Vehicles: vs}
-			if err := w.Encode(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(buf.Len())/float64(len(vs)), "bytes/vehicle")
-		b.ReportMetric(float64(len(vs))*float64(b.N)/b.Elapsed().Seconds(), "vehicles/s")
-	})
 }
 
 // BenchmarkShardWireDecode (E8) is the parent's side of the transport: drain
-// one encoded shard stream back into vehicle reports, binary versus JSON.
+// one encoded shard stream back into vehicle reports.
 func BenchmarkShardWireDecode(b *testing.B) {
 	vs := wireBenchVehicles(b, 64)
 	b.Run("wire=binary", func(b *testing.B) {
@@ -711,55 +740,20 @@ func BenchmarkShardWireDecode(b *testing.B) {
 		b.ReportMetric(float64(len(stream))/float64(len(vs)), "bytes/vehicle")
 		b.ReportMetric(float64(len(vs))*float64(b.N)/b.Elapsed().Seconds(), "vehicles/s")
 	})
-	b.Run("wire=json", func(b *testing.B) {
-		var buf bytes.Buffer
-		w := &shard.WireReport{Range: shard.Range{Start: 0, Count: len(vs)}, Vehicles: vs}
-		if err := w.Encode(&buf); err != nil {
-			b.Fatal(err)
-		}
-		doc := buf.Bytes()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dec, err := shard.DecodeWireReport(bytes.NewReader(doc))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(dec.Vehicles) != len(vs) {
-				b.Fatalf("decoded %d of %d vehicles", len(dec.Vehicles), len(vs))
-			}
-		}
-		b.ReportMetric(float64(len(doc))/float64(len(vs)), "bytes/vehicle")
-		b.ReportMetric(float64(len(vs))*float64(b.N)/b.Elapsed().Seconds(), "vehicles/s")
-	})
 }
 
 // benchShardSpawn mirrors carsim's subprocess spawn hook for the exec
-// benchmark: re-invoke the built binary with -shard-range and stream its
-// stdout — buffered document on the JSON wire (the PR 9 path), incremental
-// frame decode on the binary wire.
-func benchShardSpawn(bin, wireFmt string, fleet int) shard.Spawn {
+// benchmark: re-invoke the built binary with -shard-range and decode its
+// binary wire stream from stdout incrementally.
+func benchShardSpawn(bin string, fleet int) shard.Spawn {
 	return func(r shard.Range) (shard.Stream, error) {
 		cmd := exec.Command(bin,
 			"-shard-range", r.String(),
-			"-shard-wire", wireFmt,
 			"-fleet", strconv.Itoa(fleet),
 			"-seed", "42",
 			"-campaign", "examples/campaigns/quickstart.campaign",
 		)
 		cmd.Stderr = os.Stderr
-		if wireFmt == "json" {
-			var out bytes.Buffer
-			cmd.Stdout = &out
-			if err := cmd.Run(); err != nil {
-				return nil, fmt.Errorf("subprocess shard %s: %w", r, err)
-			}
-			w, err := shard.DecodeWireReport(&out)
-			if err != nil {
-				return nil, err
-			}
-			return w.Stream(), nil
-		}
 		pipe, err := cmd.StdoutPipe()
 		if err != nil {
 			return nil, err
@@ -778,13 +772,11 @@ func benchShardSpawn(bin, wireFmt string, fleet int) shard.Spawn {
 }
 
 // BenchmarkShardedSweepExec (E7) measures the out-of-process fan-out: the
-// quickstart sweep partitioned across real carsim subprocesses, per wire
-// format and parallelism level. wire=json/parallel=1 is the PR 9 sequential
-// path (buffered JSON documents); wire=binary rows stream frames through
-// the varint codec, and parallel=4 overlaps the four children under the
-// bounded fan-out. A separate top-level benchmark (not a ShardedSweep
-// sub-case) so CI can gate the in-process rows at high -benchtime without
-// paying subprocess spawn costs there.
+// quickstart sweep partitioned across real carsim subprocesses streaming
+// the binary wire, per parallelism level; parallel=4 overlaps the four
+// children under the bounded fan-out. A separate top-level benchmark (not
+// a ShardedSweep sub-case) so CI can gate the in-process rows at high
+// -benchtime without paying subprocess spawn costs there.
 func BenchmarkShardedSweepExec(b *testing.B) {
 	bin := filepath.Join(b.TempDir(), "carsim")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/carsim").CombinedOutput(); err != nil {
@@ -792,16 +784,8 @@ func BenchmarkShardedSweepExec(b *testing.B) {
 	}
 	plan := loadCampaign(b, "examples/campaigns/quickstart.campaign")
 	const fleet = 1000
-	cases := []struct {
-		wire     string
-		parallel int
-	}{
-		{"json", 1},
-		{"binary", 1},
-		{"binary", 4},
-	}
-	for _, tc := range cases {
-		name := fmt.Sprintf("quickstart/fleet=%d/shards=4/wire=%s/parallel=%d", fleet, tc.wire, tc.parallel)
+	for _, parallel := range []int{1, 4} {
+		name := fmt.Sprintf("quickstart/fleet=%d/shards=4/wire=binary/parallel=%d", fleet, parallel)
 		b.Run(name, func(b *testing.B) {
 			var rep *campaign.CampaignReport
 			for i := 0; i < b.N; i++ {
@@ -810,8 +794,8 @@ func BenchmarkShardedSweepExec(b *testing.B) {
 					Fleet:            fleet,
 					RootSeed:         42,
 					Shards:           4,
-					SpawnShard:       benchShardSpawn(bin, tc.wire, fleet),
-					ShardParallelism: tc.parallel,
+					SpawnShard:       benchShardSpawn(bin, fleet),
+					ShardParallelism: parallel,
 				})
 				if err != nil {
 					b.Fatal(err)

@@ -18,10 +18,14 @@
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -chaos "seed=7,panic=0.01,crash=0.002"
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -verify-sample 0.05
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 100 -cpuprofile cpu.out -memprofile mem.out
+//	carsim -campaign examples/campaigns/quickstart.campaign -fleet 1000 -shards 4 -shard-exec -shard-parallelism 2
+//
+// Every sweep flag binds into one campaign.SweepConfig. With -shard-exec,
+// each shard runs as a carsim child (the hidden -shard-range mode) that
+// streams its vehicles to the parent on the binary shard wire.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -52,95 +56,97 @@ import (
 // "failed outright".
 var errPartialSweep = errors.New("sweep unrecoverable, partial report flushed")
 
-// supervision bundles the sweep supervisor's CLI-selectable knobs plus the
-// policy backend the swept vehicles enforce with, and the sharding layout.
-// chaosSpec keeps the raw -chaos string so subprocess shards can be handed
-// the exact flag their parent parsed.
-type supervision struct {
-	plan      *chaos.Plan
-	verify    float64
-	backend   string
-	chaosSpec string
-	// shards partitions the fleet index space (<=1: unsharded); shardExec
-	// runs each range as a carsim subprocess speaking the shard wire format.
-	shards    int
-	shardExec bool
-	// shardWire selects the subprocess wire format: "binary" (the default
-	// streaming frame protocol) or "json" (PR 9's buffered document, the
-	// debugging fallback and differential-test oracle).
-	shardWire string
-	// shardParallelism bounds how many subprocess shards run concurrently
-	// (1: sequential, PR 9's behaviour). The merge still consumes shards in
-	// range order, so the report does not move.
-	shardParallelism int
-	// shardRange, when non-empty, puts this process in shard-child mode: run
-	// only that "start:count" slice of the whole-fleet config and write the
-	// wire report to stdout.
+// options is everything carsim's command line selects. The sweep flags
+// bind straight into sweep, the one configuration every sweeping mode —
+// campaign, risk, the Table I fleet and a shard child — runs under.
+type options struct {
+	topology, hpeView, latency, trace, detail, listScenarios bool
+	nodeArch, attackSel, enforcement                         string
+	campaignFile, riskFile                                   string
+	cpuProfile, memProfile                                   string
+	// shardRange, when non-empty, puts this process in shard-child mode:
+	// run only that "start:count" slice of the whole-fleet config and
+	// stream the wire report to stdout.
 	shardRange string
+	sweep      campaign.SweepConfig
+	usage      func()
+}
+
+// parseFlags parses carsim's command line; -shard-exec arms
+// sweep.SpawnShard with the subprocess hook. A malformed flag exits 2 (the
+// flag package's contract); a value outside its domain returns an error.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	s := &o.sweep
+	fs := flag.NewFlagSet("carsim", flag.ExitOnError)
+	fs.BoolVar(&o.topology, "print-topology", false, "print the Fig. 2 topology and exit")
+	fs.StringVar(&o.nodeArch, "print-node", "", "print the Fig. 3 internals of the named node and exit")
+	fs.BoolVar(&o.hpeView, "print-hpe", false, "print the Fig. 4 policy-engine view of the EV-ECU and exit")
+	fs.StringVar(&o.attackSel, "attack", "", "threat id to replay, or \"all\"")
+	fs.StringVar(&o.enforcement, "enforcement", "none,hpe", "comma-separated regimes: none, software, hpe")
+	fs.BoolVar(&o.trace, "trace", false, "print bus trace events during attacks")
+	fs.BoolVar(&o.latency, "latency", false, "run the differing-criticality latency experiment (E1)")
+	fs.IntVar(&s.Fleet, "fleet", 0, "sweep N independent vehicle simulations and print the merged fleet report")
+	fs.IntVar(&s.Workers, "workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
+	fs.Uint64Var(&s.RootSeed, "seed", 1, "root seed for deterministic per-vehicle seed derivation")
+	reuse := fs.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
+	fs.BoolVar(&s.NoBatch, "no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cell-major fleet scaling); reports are byte-identical either way")
+	fs.BoolVar(&o.detail, "detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
+	fs.StringVar(&o.campaignFile, "campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
+	fs.StringVar(&o.riskFile, "risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")
+	fs.BoolVar(&o.listScenarios, "list-scenarios", false, "with -campaign or -risk: dump the generated scenario matrix without running it")
+	chaosSpec := fs.String("chaos", "", "arm deterministic fault injection, e.g. \"seed=7,panic=0.01,corrupt=0.005,deadline=0.002,crash=0.001\" (\"off\" disables)")
+	fs.Float64Var(&s.VerifySample, "verify-sample", 0, "cross-check this fraction of batched cells against the cell-by-cell oracle inline (0 disables)")
+	fs.StringVar(&s.PolicyBackend, "policy-backend", "", "policy enforcement backend for swept vehicles: "+strings.Join(ir.Names(), ", ")+" (default table)")
+	fs.IntVar(&s.Shards, "shards", 0, "partition the fleet index space into N contiguous ranges run as independent engine runs; the merged report is byte-identical to the unsharded sweep")
+	shardExec := fs.Bool("shard-exec", false, "with -shards: run each shard as a carsim subprocess (binary shard wire over stdout) instead of in-process")
+	shardWire := fs.String("shard-wire", "binary", "with -shard-exec: subprocess wire format; \"binary\" (the streaming frame protocol) is the only one")
+	fs.IntVar(&s.ShardParallelism, "shard-parallelism", 1, "with -shard-exec: run up to P subprocess shards concurrently; the merge stays in range order, so the report is byte-identical at any P")
+	fs.StringVar(&o.shardRange, "shard-range", "", "internal: run only this start:count slice of the fleet and emit the shard wire report on stdout (set by -shard-exec parents)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file when the run finishes")
+	fs.Parse(args)
+	o.usage = fs.Usage
+	s.FreshVehicles = !*reuse
+
+	var err error
+	if s.Chaos, err = chaos.Parse(*chaosSpec); err != nil {
+		return nil, err
+	}
+	// Written so that NaN fails the range check: every comparison with NaN
+	// is false.
+	if !(s.VerifySample >= 0 && s.VerifySample <= 1) {
+		return nil, fmt.Errorf("-verify-sample %v outside [0, 1]", s.VerifySample)
+	}
+	if _, err := ir.Lookup(s.PolicyBackend); err != nil {
+		return nil, err
+	}
+	if s.Shards < 0 {
+		return nil, fmt.Errorf("-shards %d is negative", s.Shards)
+	}
+	switch *shardWire {
+	case "binary":
+	case "json":
+		return nil, errors.New("-shard-wire json: the JSON shard wire was removed; binary is the only wire format")
+	default:
+		return nil, fmt.Errorf("-shard-wire %q (want binary)", *shardWire)
+	}
+	if s.ShardParallelism < 1 {
+		return nil, fmt.Errorf("-shard-parallelism %d (want >= 1)", s.ShardParallelism)
+	}
+	if *shardExec {
+		s.SpawnShard = o.spawnShard
+	}
+	return o, nil
 }
 
 func main() {
-	topology := flag.Bool("print-topology", false, "print the Fig. 2 topology and exit")
-	nodeArch := flag.String("print-node", "", "print the Fig. 3 internals of the named node and exit")
-	hpeView := flag.Bool("print-hpe", false, "print the Fig. 4 policy-engine view of the EV-ECU and exit")
-	attackSel := flag.String("attack", "", "threat id to replay, or \"all\"")
-	enforcement := flag.String("enforcement", "none,hpe", "comma-separated regimes: none, software, hpe")
-	trace := flag.Bool("trace", false, "print bus trace events during attacks")
-	latency := flag.Bool("latency", false, "run the differing-criticality latency experiment (E1)")
-	fleetSize := flag.Int("fleet", 0, "sweep N independent vehicle simulations and print the merged fleet report")
-	workers := flag.Int("workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
-	seed := flag.Uint64("seed", 1, "root seed for deterministic per-vehicle seed derivation")
-	reuse := flag.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
-	noBatch := flag.Bool("no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cell-major fleet scaling); reports are byte-identical either way")
-	detail := flag.Bool("detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
-	campaignFile := flag.String("campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
-	riskFile := flag.String("risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")
-	listScenarios := flag.Bool("list-scenarios", false, "with -campaign or -risk: dump the generated scenario matrix without running it")
-	chaosSpec := flag.String("chaos", "", "arm deterministic fault injection, e.g. \"seed=7,panic=0.01,corrupt=0.005,deadline=0.002,crash=0.001\" (\"off\" disables)")
-	verifySample := flag.Float64("verify-sample", 0, "cross-check this fraction of batched cells against the cell-by-cell oracle inline (0 disables)")
-	policyBackend := flag.String("policy-backend", "", "policy enforcement backend for swept vehicles: "+strings.Join(ir.Names(), ", ")+" (default table)")
-	shards := flag.Int("shards", 0, "partition the fleet index space into N contiguous ranges run as independent engine runs; the merged report is byte-identical to the unsharded sweep")
-	shardExec := flag.Bool("shard-exec", false, "with -shards: run each shard as a carsim subprocess (shard wire format over stdout) instead of in-process")
-	shardWire := flag.String("shard-wire", "binary", "with -shard-exec: subprocess wire format, \"binary\" (streaming frame protocol) or \"json\" (buffered document; debugging fallback)")
-	shardParallelism := flag.Int("shard-parallelism", 1, "with -shard-exec: run up to P subprocess shards concurrently; the merge stays in range order, so the report is byte-identical at any P")
-	shardRange := flag.String("shard-range", "", "internal: run only this start:count slice of the fleet and emit the shard wire report on stdout (set by -shard-exec parents)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with `go tool pprof`)")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file when the run finishes")
-	flag.Parse()
-
-	plan, err := chaos.Parse(*chaosSpec)
+	o, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
 	}
-	if *verifySample < 0 || *verifySample > 1 {
-		fmt.Fprintf(os.Stderr, "carsim: -verify-sample %v outside [0, 1]\n", *verifySample)
-		os.Exit(1)
-	}
-	if _, err := ir.Lookup(*policyBackend); err != nil {
-		fmt.Fprintln(os.Stderr, "carsim:", err)
-		os.Exit(1)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "carsim: -shards %d is negative\n", *shards)
-		os.Exit(1)
-	}
-	if *shardWire != "binary" && *shardWire != "json" {
-		fmt.Fprintf(os.Stderr, "carsim: -shard-wire %q (want binary or json)\n", *shardWire)
-		os.Exit(1)
-	}
-	if *shardParallelism < 1 {
-		fmt.Fprintf(os.Stderr, "carsim: -shard-parallelism %d (want >= 1)\n", *shardParallelism)
-		os.Exit(1)
-	}
-	sup := supervision{
-		plan: plan, verify: *verifySample, backend: *policyBackend,
-		chaosSpec: *chaosSpec, shards: *shards, shardExec: *shardExec,
-		shardWire: *shardWire, shardParallelism: *shardParallelism,
-		shardRange: *shardRange,
-	}
-
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "carsim:", err)
 		os.Exit(1)
@@ -150,7 +156,7 @@ func main() {
 	var flushErr error
 	err = func() error {
 		defer func() { flushErr = stopProfiles() }()
-		return run(*topology, *nodeArch, *hpeView, *latency, *attackSel, *enforcement, *trace, *fleetSize, *workers, *seed, *reuse, *noBatch, *detail, *campaignFile, *riskFile, *listScenarios, sup)
+		return run(o)
 	}()
 	if err == nil {
 		err = flushErr
@@ -212,281 +218,223 @@ func startProfiles(cpuPath, memPath string) (func() error, error) {
 	}, nil
 }
 
-func run(topology bool, nodeArch string, hpeView, latency bool, attackSel, enforcement string, trace bool, fleetSize, workers int, seed uint64, reuse, noBatch, detail bool, campaignFile, riskFile string, listScenarios bool, sup supervision) error {
-	if topology {
+func run(o *options) error {
+	switch {
+	case o.topology:
 		fmt.Print(report.Topology())
 		return nil
-	}
-	if nodeArch != "" {
-		fmt.Print(report.NodeArchitecture(nodeArch))
+	case o.nodeArch != "":
+		fmt.Print(report.NodeArchitecture(o.nodeArch))
 		return nil
-	}
-	if hpeView {
+	case o.hpeView:
 		return printHPEView()
-	}
-	if latency {
+	case o.latency:
 		return runLatency()
-	}
-	if sup.shardRange != "" {
-		return runShardChild(campaignFile, riskFile, enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
-	}
-	if campaignFile != "" {
-		return runCampaign(campaignFile, listScenarios, fleetSize, workers, seed, reuse, noBatch, detail, sup)
-	}
-	if riskFile != "" {
-		return runRisk(riskFile, listScenarios, fleetSize, workers, seed, reuse, noBatch, sup)
-	}
-	if listScenarios {
+	case o.shardRange != "":
+		return runShardChild(o)
+	case o.campaignFile != "":
+		return runCampaign(o)
+	case o.riskFile != "":
+		return runRisk(o)
+	case o.listScenarios:
 		return fmt.Errorf("-list-scenarios requires -campaign or -risk")
-	}
-	if fleetSize > 0 {
-		return runFleet(fleetSize, workers, seed, enforcement, reuse, noBatch, sup)
-	}
-	if attackSel == "" {
-		flag.Usage()
+	case o.sweep.Fleet > 0:
+		return runFleet(o)
+	case o.attackSel == "":
+		o.usage()
 		return fmt.Errorf("nothing to do: pass -print-topology, -print-node, -print-hpe, -latency, -campaign, -risk, -fleet or -attack")
 	}
-	return runAttacks(attackSel, enforcement, trace, sup.backend)
+	return runAttacks(o.attackSel, o.enforcement, o.trace, o.sweep.PolicyBackend)
 }
 
-// buildEngineConfig reconstructs the whole-fleet engine configuration of the
-// current mode — campaign, risk, or the Table I fleet sweep — from the same
-// flags the parent parsed, so a shard child partitions exactly the index
-// space its parent did.
-func buildEngineConfig(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) (engine.Config, error) {
+// loadPlan reads and compiles a campaign spec file.
+func loadPlan(path string) (*campaign.Plan, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := campaign.Parse(string(raw))
+	if err != nil {
+		return nil, err
+	}
+	return (campaign.Compiler{}).Compile(spec)
+}
+
+// loadRiskSpec reads a risk spec file.
+func loadRiskSpec(path string) (*risk.Spec, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return risk.ParseSpec(string(raw))
+}
+
+// engineConfig builds the whole-fleet engine configuration of the current
+// mode — campaign, risk, or the Table I fleet sweep — from the parsed
+// options, so a shard child partitions exactly the index space its parent
+// did. The Table I sweep leaves TrafficHorizon to the engine's 50 ms
+// default (campaign sweeps default to 10 ms).
+func engineConfig(o *options) (engine.Config, error) {
+	s := o.sweep
 	switch {
-	case campaignFile != "":
-		raw, err := os.ReadFile(campaignFile)
+	case o.campaignFile != "":
+		plan, err := loadPlan(o.campaignFile)
 		if err != nil {
 			return engine.Config{}, err
 		}
-		spec, err := campaign.Parse(string(raw))
+		return campaign.EngineConfig(plan, s)
+	case o.riskFile != "":
+		spec, err := loadRiskSpec(o.riskFile)
 		if err != nil {
 			return engine.Config{}, err
 		}
-		plan, err := (campaign.Compiler{}).Compile(spec)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		return campaign.EngineConfig(plan, campaignSweepConfig(fleetSize, workers, seed, reuse, noBatch, sup, nil))
-	case riskFile != "":
-		raw, err := os.ReadFile(riskFile)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		spec, err := risk.ParseSpec(string(raw))
-		if err != nil {
-			return engine.Config{}, err
-		}
-		out, scfg, err := risk.SweepSetup(spec, riskRunConfig(fleetSize, workers, seed, reuse, noBatch, sup, nil))
+		out, scfg, err := risk.SweepSetup(spec, s)
 		if err != nil {
 			return engine.Config{}, err
 		}
 		return campaign.EngineConfig(out.Plan, scfg)
-	default:
-		regimes, err := parseRegimes(enforcement)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		return engine.Config{
-			Fleet:         fleetSize,
-			Workers:       workers,
-			RootSeed:      seed,
-			Regimes:       regimes,
-			FreshVehicles: !reuse,
-			NoBatch:       noBatch,
-			Chaos:         sup.plan,
-			VerifySample:  sup.verify,
-			PolicyBackend: sup.backend,
-		}, nil
 	}
+	regimes, err := parseRegimes(o.enforcement)
+	if err != nil {
+		return engine.Config{}, err
+	}
+	return engine.Config{
+		Fleet:          s.Fleet,
+		Workers:        s.Workers,
+		RootSeed:       s.RootSeed,
+		Regimes:        regimes,
+		TrafficHorizon: s.TrafficHorizon,
+		ErrorRate:      s.ErrorRate,
+		FreshVehicles:  s.FreshVehicles,
+		Harness:        s.Harness,
+		PolicyBackend:  s.PolicyBackend,
+		NoBatch:        s.NoBatch,
+		Chaos:          s.Chaos,
+		VerifySample:   s.VerifySample,
+		MaxRetries:     s.MaxRetries,
+	}, nil
 }
 
 // runShardChild is the hidden -shard-range mode a -shard-exec parent spawns:
 // rebuild the whole-fleet configuration from the forwarded flags, run only
-// the assigned index slice, and write the shard wire stream to stdout — on
-// the binary wire, frame by frame as vehicles complete; on the JSON
-// fallback, one buffered document. The child always exits 0 when the stream
-// is written — an unrecoverable sweep travels in the trailer (or the
-// document's Err field), exactly as engine.Run returns the partial report
-// alongside its error.
-func runShardChild(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) error {
-	r, err := shard.ParseRange(sup.shardRange)
+// the assigned index slice, and stream it to stdout on the binary wire,
+// frame by frame as vehicles complete. The child exits 0 whenever the
+// stream is written — an unrecoverable sweep travels in the trailer,
+// exactly as engine.Run returns the partial report alongside its error.
+func runShardChild(o *options) error {
+	r, err := shard.ParseRange(o.shardRange)
 	if err != nil {
 		return err
 	}
-	ecfg, err := buildEngineConfig(campaignFile, riskFile, enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+	ecfg, err := engineConfig(o)
 	if err != nil {
 		return err
-	}
-	if sup.shardWire == "json" {
-		return shard.RunRange(ecfg, r).Encode(os.Stdout)
 	}
 	return shard.RunRangeWire(ecfg, r, os.Stdout)
 }
 
-// shardSpawn returns the subprocess spawn hook: re-invoke this binary with
-// the run's own mode flags plus the child's -shard-range, and stream the
-// wire format from its stdout. On the binary wire the child's pipe is
-// decoded incrementally (the parent never buffers a shard's report set);
-// the JSON fallback buffers the document as PR 9 did. Child stderr passes
-// through for diagnostics.
-func shardSpawn(campaignFile, riskFile, enforcement string, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) shard.Spawn {
-	return func(r shard.Range) (shard.Stream, error) {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		args := []string{
-			"-shard-range", r.String(),
-			"-shard-wire", sup.shardWire,
-			"-fleet", strconv.Itoa(fleetSize),
-			"-workers", strconv.Itoa(workers),
-			"-seed", strconv.FormatUint(seed, 10),
-		}
-		switch {
-		case campaignFile != "":
-			args = append(args, "-campaign", campaignFile)
-		case riskFile != "":
-			args = append(args, "-risk", riskFile)
-		default:
-			args = append(args, "-enforcement", enforcement)
-		}
-		if !reuse {
-			args = append(args, "-reuse=false")
-		}
-		if noBatch {
-			args = append(args, "-no-batch")
-		}
-		if sup.chaosSpec != "" {
-			args = append(args, "-chaos", sup.chaosSpec)
-		}
-		if sup.verify > 0 {
-			args = append(args, "-verify-sample", strconv.FormatFloat(sup.verify, 'g', -1, 64))
-		}
-		if sup.backend != "" {
-			args = append(args, "-policy-backend", sup.backend)
-		}
-		cmd := exec.Command(exe, args...)
-		cmd.Stderr = os.Stderr
-		if sup.shardWire == "json" {
-			var out bytes.Buffer
-			cmd.Stdout = &out
-			if err := cmd.Run(); err != nil {
-				return nil, fmt.Errorf("subprocess shard %s: %w", r, err)
-			}
-			w, err := shard.DecodeWireReport(&out)
-			if err != nil {
-				return nil, err
-			}
-			return w.Stream(), nil
-		}
-		pipe, err := cmd.StdoutPipe()
-		if err != nil {
-			return nil, err
-		}
-		if err := cmd.Start(); err != nil {
-			return nil, fmt.Errorf("subprocess shard %s: %w", r, err)
-		}
-		return shard.NewWireStream(pipe, func() error {
-			// Closing the read end first unblocks a child still writing
-			// after a mid-stream decode error, so Wait cannot hang.
-			pipe.Close()
-			if err := cmd.Wait(); err != nil {
-				return fmt.Errorf("subprocess shard %s: %w", r, err)
-			}
-			return nil
-		}), nil
+// childArgs is the argv of the shard child that runs range r: the mode
+// plus every sweep flag that shapes the whole-fleet engine configuration.
+func childArgs(o *options, r shard.Range) []string {
+	s := &o.sweep
+	args := []string{
+		"-shard-range", r.String(),
+		"-fleet", strconv.Itoa(s.Fleet),
+		"-workers", strconv.Itoa(s.Workers),
+		"-seed", strconv.FormatUint(s.RootSeed, 10),
 	}
+	switch {
+	case o.campaignFile != "":
+		args = append(args, "-campaign", o.campaignFile)
+	case o.riskFile != "":
+		args = append(args, "-risk", o.riskFile)
+	default:
+		args = append(args, "-enforcement", o.enforcement)
+	}
+	if s.FreshVehicles {
+		args = append(args, "-reuse=false")
+	}
+	if s.NoBatch {
+		args = append(args, "-no-batch")
+	}
+	if s.Chaos != nil {
+		args = append(args, "-chaos", s.Chaos.String())
+	}
+	if s.VerifySample > 0 {
+		args = append(args, "-verify-sample", strconv.FormatFloat(s.VerifySample, 'g', -1, 64))
+	}
+	if s.PolicyBackend != "" {
+		args = append(args, "-policy-backend", s.PolicyBackend)
+	}
+	return args
 }
 
-// campaignSweepConfig assembles the campaign sweep configuration shared by
-// the parent sweep and the shard child's config rebuild (spawn is nil in the
-// child — its slice IS the work).
-func campaignSweepConfig(fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision, spawn shard.Spawn) campaign.SweepConfig {
-	return campaign.SweepConfig{
-		Fleet:            fleetSize,
-		Workers:          workers,
-		RootSeed:         seed,
-		FreshVehicles:    !reuse,
-		NoBatch:          noBatch,
-		Chaos:            sup.plan,
-		VerifySample:     sup.verify,
-		PolicyBackend:    sup.backend,
-		Shards:           sup.shards,
-		SpawnShard:       spawn,
-		ShardParallelism: sup.shardParallelism,
+// spawnShard is the -shard-exec spawn hook: re-invoke this binary as the
+// shard child of range r and decode its binary wire stream from stdout
+// incrementally (the parent never buffers a shard's report set). Child
+// stderr passes through for diagnostics.
+func (o *options) spawnShard(r shard.Range) (shard.Stream, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
 	}
+	cmd := exec.Command(exe, childArgs(o, r)...)
+	cmd.Stderr = os.Stderr
+	pipe, err := cmd.StdoutPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("subprocess shard %s: %w", r, err)
+	}
+	return shard.NewWireStream(pipe, func() error {
+		// Closing the read end first unblocks a child still writing
+		// after a mid-stream decode error, so Wait cannot hang.
+		pipe.Close()
+		if err := cmd.Wait(); err != nil {
+			return fmt.Errorf("subprocess shard %s: %w", r, err)
+		}
+		return nil
+	}), nil
 }
 
-// riskRunConfig is campaignSweepConfig's counterpart for the risk pipeline.
-func riskRunConfig(fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision, spawn shard.Spawn) risk.RunConfig {
-	return risk.RunConfig{
-		Fleet:            fleetSize,
-		Workers:          workers,
-		RootSeed:         seed,
-		FreshVehicles:    !reuse,
-		NoBatch:          noBatch,
-		Chaos:            sup.plan,
-		VerifySample:     sup.verify,
-		PolicyBackend:    sup.backend,
-		Shards:           sup.shards,
-		SpawnShard:       spawn,
-		ShardParallelism: sup.shardParallelism,
+// flushPartial handles an unrecoverable campaign or risk sweep: with a
+// partial report, print it — its Health ledger is the evidence an operator
+// debugs from — and fail with exit code 3; without one, fail outright.
+func flushPartial(o *options, rep *campaign.CampaignReport, err error) error {
+	if rep == nil {
+		return err
 	}
+	fmt.Printf("mode=%s\n", execMode(o.sweep.NoBatch))
+	fmt.Print(report.CampaignView(rep))
+	return fmt.Errorf("%w: %v", errPartialSweep, err)
 }
 
 // runCampaign compiles a campaign spec and either lists its generated
 // scenario matrix or sweeps it across the fleet, printing the deterministic
 // campaign view plus a separate wall-clock throughput line.
-func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64, reuse, noBatch, detail bool, sup supervision) error {
-	raw, err := os.ReadFile(path)
+func runCampaign(o *options) error {
+	plan, err := loadPlan(o.campaignFile)
 	if err != nil {
 		return err
 	}
-	spec, err := campaign.Parse(string(raw))
-	if err != nil {
-		return err
-	}
-	plan, err := (campaign.Compiler{}).Compile(spec)
-	if err != nil {
-		return err
-	}
-	if listOnly {
+	if o.listScenarios {
 		fmt.Print(plan.Matrix())
 		return nil
 	}
-	if fleetSize <= 0 {
-		fleetSize = 1
-	}
-	var spawn shard.Spawn
-	if sup.shardExec {
-		spawn = shardSpawn(path, "", "", fleetSize, workers, seed, reuse, noBatch, sup)
-	}
 	start := time.Now()
-	rep, err := campaign.Sweep(plan, campaignSweepConfig(fleetSize, workers, seed, reuse, noBatch, sup, spawn))
+	rep, err := campaign.Sweep(plan, o.sweep)
 	if err != nil {
-		if rep == nil {
-			return err
-		}
-		// Unrecoverable sweep: flush the partial view — its Health ledger is
-		// the evidence an operator debugs from — then fail with exit code 3.
-		fmt.Printf("mode=%s\n", execMode(noBatch))
-		fmt.Print(report.CampaignView(rep))
-		return fmt.Errorf("%w: %v", errPartialSweep, err)
+		return flushPartial(o, rep, err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
-	if detail {
+	fmt.Printf("mode=%s\n", execMode(o.sweep.NoBatch))
+	if o.detail {
 		fmt.Print(report.CampaignDetailView(rep))
 	} else {
 		fmt.Print(report.CampaignView(rep))
 	}
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
-	printSweepThroughput(rep, pool, elapsed)
+	printSweepThroughput(rep, o.sweep.FreshVehicles, elapsed)
 	return nil
 }
 
@@ -494,11 +442,19 @@ func runCampaign(path string, listOnly bool, fleetSize, workers int, seed uint64
 // sweep. Unique cells are the campaign's distinct (scenario, regime) cells,
 // the ones a cell-major sweep simulates; fleet cells multiply them by the
 // fleet size, and vehicles/s derives from the same scaling.
-func printSweepThroughput(rep *campaign.CampaignReport, pool string, elapsed time.Duration) {
+func printSweepThroughput(rep *campaign.CampaignReport, fresh bool, elapsed time.Duration) {
 	sec := elapsed.Seconds()
 	fmt.Printf("\nthroughput: %.0f unique cells/s, %.0f fleet cells/s, %.0f vehicles/s (%s vehicles, %v wall clock)\n",
 		float64(rep.Cells/rep.Fleet)/sec, float64(rep.Cells)/sec, float64(rep.Fleet)/sec,
-		pool, elapsed.Round(time.Millisecond))
+		poolMode(fresh), elapsed.Round(time.Millisecond))
+}
+
+// poolMode names the vehicle construction mode for the throughput line.
+func poolMode(fresh bool) string {
+	if fresh {
+		return "fresh"
+	}
+	return "pooled"
 }
 
 // execMode names the executor for the report header: "batched" is the
@@ -517,16 +473,12 @@ func execMode(noBatch bool) string {
 // from its threat model, sweep it across the fleet, and print the
 // calibrated rubric-vs-measured profile. The profile itself is
 // deterministic; the wall-clock throughput line prints separately.
-func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, reuse, noBatch bool, sup supervision) error {
-	raw, err := os.ReadFile(path)
+func runRisk(o *options) error {
+	spec, err := loadRiskSpec(o.riskFile)
 	if err != nil {
 		return err
 	}
-	spec, err := risk.ParseSpec(string(raw))
-	if err != nil {
-		return err
-	}
-	if listOnly {
+	if o.listScenarios {
 		out, err := risk.Compile(spec)
 		if err != nil {
 			return err
@@ -534,76 +486,51 @@ func runRisk(path string, listOnly bool, fleetSize, workers int, seed uint64, re
 		fmt.Print(out.Plan.Matrix())
 		return nil
 	}
-	if fleetSize <= 0 {
-		fleetSize = 1
-	}
-	var spawn shard.Spawn
-	if sup.shardExec {
-		spawn = shardSpawn("", path, "", fleetSize, workers, seed, reuse, noBatch, sup)
-	}
 	start := time.Now()
-	out, err := risk.Run(spec, riskRunConfig(fleetSize, workers, seed, reuse, noBatch, sup, spawn))
+	out, err := risk.Run(spec, o.sweep)
 	if err != nil {
-		if out == nil || out.Report == nil {
+		if out == nil {
 			return err
 		}
 		// The profile was never calibrated (scoring from a partial sweep
 		// would launder incomplete block rates into DREAD deltas); flush the
 		// partial campaign evidence instead.
-		fmt.Printf("mode=%s\n", execMode(noBatch))
-		fmt.Print(report.CampaignView(out.Report))
-		return fmt.Errorf("%w: %v", errPartialSweep, err)
+		return flushPartial(o, out.Report, err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
+	fmt.Printf("mode=%s\n", execMode(o.sweep.NoBatch))
 	fmt.Print(report.RiskView(out.Profile))
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
-	printSweepThroughput(out.Report, pool, elapsed)
+	printSweepThroughput(out.Report, o.sweep.FreshVehicles, elapsed)
 	return nil
 }
 
 // runFleet sweeps the Table I matrix across a simulated fleet and prints the
 // merged report plus the wall-clock throughput. The report itself stays
 // byte-stable for a given config; the timing line is printed separately.
-func runFleet(fleetSize, workers int, seed uint64, enforcement string, reuse, noBatch bool, sup supervision) error {
-	ecfg, err := buildEngineConfig("", "", enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
+func runFleet(o *options) error {
+	ecfg, err := engineConfig(o)
 	if err != nil {
 		return err
 	}
+	s := &o.sweep
 	start := time.Now()
-	var fr *engine.FleetReport
-	if sup.shards > 1 || sup.shardExec {
-		var spawn shard.Spawn
-		if sup.shardExec {
-			spawn = shardSpawn("", "", enforcement, fleetSize, workers, seed, reuse, noBatch, sup)
-		}
-		fr, err = shard.Run(shard.Config{
-			Engine: ecfg, Shards: sup.shards,
-			Spawn: spawn, Parallelism: sup.shardParallelism,
-		})
-	} else {
-		fr, err = engine.Run(ecfg)
-	}
+	fr, err := shard.Run(shard.Config{
+		Engine: ecfg, Shards: s.Shards,
+		Spawn: s.SpawnShard, Parallelism: s.ShardParallelism,
+	})
 	if err != nil {
 		if fr == nil {
 			return err
 		}
-		fmt.Printf("mode=%s\n", execMode(noBatch))
+		fmt.Printf("mode=%s\n", execMode(s.NoBatch))
 		fmt.Print(fr)
 		return fmt.Errorf("%w: %v", errPartialSweep, err)
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("mode=%s\n", execMode(noBatch))
+	fmt.Printf("mode=%s\n", execMode(s.NoBatch))
 	fmt.Print(fr)
-	pool := "pooled"
-	if !reuse {
-		pool = "fresh"
-	}
 	fmt.Printf("throughput: %.0f vehicles/s (%s vehicles, %v wall clock)\n",
-		float64(fleetSize)/elapsed.Seconds(), pool, elapsed.Round(time.Millisecond))
+		float64(s.Fleet)/elapsed.Seconds(), poolMode(s.FreshVehicles), elapsed.Round(time.Millisecond))
 	return nil
 }
 
@@ -689,7 +616,6 @@ func runAttacks(sel, enforcement string, trace bool, backend string) error {
 		}
 		scenarios = []attack.Scenario{sc}
 	}
-	_ = trace // trace wiring below uses per-run cars; see verbose note.
 
 	results, err := h.RunAll(scenarios, regimes...)
 	if err != nil {

@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/car"
@@ -68,8 +69,13 @@ func run(vehicleCount int, candidateFile, drill string, applyFail float64, seed 
 	if vehicleCount <= 0 {
 		return 1, fmt.Errorf("-vehicles %d is not a fleet", vehicleCount)
 	}
-	if applyFail < 0 || applyFail > 1 {
+	// Range checks are written so that NaN fails them: every comparison
+	// with NaN is false.
+	if !(applyFail >= 0 && applyFail <= 1) {
 		return 1, fmt.Errorf("-apply-fail %v outside [0, 1]", applyFail)
+	}
+	if !(tolerance >= 0 && tolerance <= math.MaxFloat64) {
+		return 1, fmt.Errorf("-tolerance %v is not a finite non-negative number", tolerance)
 	}
 	if _, err := ir.Lookup(backend); err != nil {
 		return 1, err

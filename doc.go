@@ -59,19 +59,20 @@
 //     affected-users, goal hits → damage), yielding a deterministic
 //     rubric-vs-measured profile with a ranked residual-risk table; run
 //     specs live under examples/threatmodels (carsim -risk)
-//   - internal/shard     — fleet partition-and-merge layer: contiguous
-//     index ranges run as independent engine passes (global-index seeding
-//     keeps every vehicle trajectory pinned to its shard-independent
-//     coordinates) and merge in range order through engine.MergeFold,
-//     byte-identical to the unsharded run; spawn hooks run ranges out of
-//     process (carsim -shard-exec), sequentially or concurrently under a
-//     bounded in-order merge window (-shard-parallelism)
-//   - internal/shard/wire — the binary shard transport: a versioned,
+//   - internal/shard     — the sweep's one executor dispatch and its
+//     partition-and-merge layer: one unsharded range is engine.Run itself;
+//     otherwise contiguous index ranges run as independent engine passes
+//     (global-index seeding keeps every vehicle trajectory pinned to its
+//     shard-independent coordinates) and merge in range order through
+//     engine.MergeFold, byte-identical to the unsharded run; spawn hooks
+//     run ranges out of process (carsim -shard-exec), sequentially or
+//     concurrently under a bounded in-order merge window
+//     (-shard-parallelism)
+//   - internal/shard/wire — the shard transport: a versioned,
 //     CRC32-framed varint stream carrying one vehicle report per frame,
 //     written as vehicles complete and decoded incrementally (neither side
-//     buffers a shard's report set; ~12x smaller than the JSON document
-//     fallback); any corrupted byte surfaces as a typed checksum error the
-//     shard driver records like a failed shard
+//     buffers a shard's report set); any corrupted byte surfaces as a
+//     typed checksum error the shard driver records like a failed shard
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; see DESIGN.md for the experiment index and

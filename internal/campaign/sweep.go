@@ -129,15 +129,10 @@ func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fr *engine.FleetReport
-	if cfg.Shards > 1 || cfg.SpawnShard != nil {
-		fr, err = shard.Run(shard.Config{
-			Engine: ecfg, Shards: cfg.Shards,
-			Spawn: cfg.SpawnShard, Parallelism: cfg.ShardParallelism,
-		})
-	} else {
-		fr, err = engine.Run(ecfg)
-	}
+	fr, err := shard.Run(shard.Config{
+		Engine: ecfg, Shards: cfg.Shards,
+		Spawn: cfg.SpawnShard, Parallelism: cfg.ShardParallelism,
+	})
 	if err != nil {
 		// An unrecoverable sweep still merges what completed: fold the
 		// partial fleet report (with its Health ledger, which records the
@@ -155,7 +150,7 @@ func Sweep(plan *Plan, cfg SweepConfig) (*CampaignReport, error) {
 // enforcement harness, and every supervision knob. Exported so a subprocess
 // shard — which receives only the campaign file and the sweep flags — can
 // rebuild the exact configuration its parent partitions, then run its index
-// range with shard.RunRange.
+// range with shard.RunRangeWire.
 func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 	if cfg.Fleet <= 0 {
 		cfg.Fleet = 1

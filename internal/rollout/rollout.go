@@ -3,9 +3,9 @@
 // operationalises. It takes a fleet's current policy set and a candidate
 // set, computes their semantic diff, advances the candidate through the
 // staged fleet.Rollout canary cohorts, and gates every cohort on measured
-// campaign evidence — a (sharded) sweep of a cohort-sized simulated fleet
-// enforcing the candidate policy, whose risk.Calibrate residual risk must
-// not regress versus the same sweep under the current policy — rolling the
+// campaign evidence — a (sharded) sweep of a simulated fleet enforcing the
+// candidate policy, whose risk.Calibrate residual risk must not regress
+// versus the same sweep under the current policy — rolling the
 // whole fleet back to the prior set automatically when a gate vetoes or a
 // stage crosses the abort threshold.
 //
@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 
@@ -61,7 +62,8 @@ type Config struct {
 	RootSeed uint64
 	// Tolerance is the relative residual-risk regression a gate accepts:
 	// candidate residual above baseline*(1+Tolerance) vetoes the stage.
-	// Zero means any measurable regression vetoes.
+	// Zero means any measurable regression vetoes; it must be finite and
+	// non-negative.
 	Tolerance float64
 	// Telemetry, when non-nil, receives continuous wall-clock telemetry
 	// lines (vehicles/s, decisions/s per gate sweep). Deterministic output
@@ -73,11 +75,11 @@ type Config struct {
 type StageEvidence struct {
 	// Stage indexes the plan stage the evidence gated.
 	Stage int
-	// Cohort is the gate sweep's fleet size (the stage's attempted count).
+	// Cohort is the stage's attempted count.
 	Cohort int
 	// BaselineResidual and CandidateResidual are the summed per-threat
-	// residual-risk masses of the cohort sweep under the current and the
-	// candidate policy.
+	// residual-risk masses of the gate sweep under the current and the
+	// candidate policy (measured once per rollout; see residualGate).
 	BaselineResidual, CandidateResidual float64
 	// Regressed reports whether the candidate breached the tolerance.
 	Regressed bool
@@ -146,15 +148,19 @@ func (o *Outcome) String() string {
 	return b.String()
 }
 
-// residualGate measures cohort-sized gate sweeps lazily: per distinct cohort
-// size, one sweep under the current set and one under the candidate, both
-// from the same spec and seeds, residuals compared under the tolerance.
+// residualGate measures the gate evidence lazily, once per rollout: one
+// sweep under the current set and one under the candidate, both from the
+// same spec and seeds at the first gated stage's cohort size, residuals
+// compared under the tolerance. A residual is a property of the policy and
+// the gate spec, not of the cohort size (TestGateResidualIndependentOfCohort),
+// so every later stage reuses the measured pair.
 type residualGate struct {
-	cfg      *Config
-	baseH    *attack.Harness
-	candH    *attack.Harness
-	outcome  *Outcome
-	byCohort map[int]StageEvidence
+	cfg     *Config
+	baseH   *attack.Harness
+	candH   *attack.Harness
+	outcome *Outcome
+	// pair is the measured evidence (nil until the first gated stage).
+	pair *StageEvidence
 }
 
 func newResidualGate(cfg *Config, outcome *Outcome) (*residualGate, error) {
@@ -166,10 +172,7 @@ func newResidualGate(cfg *Config, outcome *Outcome) (*residualGate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rollout: candidate-set harness: %w", err)
 	}
-	return &residualGate{
-		cfg: cfg, baseH: baseH, candH: candH,
-		outcome: outcome, byCohort: map[int]StageEvidence{},
-	}, nil
+	return &residualGate{cfg: cfg, baseH: baseH, candH: candH, outcome: outcome}, nil
 }
 
 // residual sweeps a cohort-sized fleet enforcing with h and returns the
@@ -201,12 +204,10 @@ func (g *residualGate) residual(label string, cohort int, h *attack.Harness) (fl
 	return total, nil
 }
 
-// check is the fleet.Plan.Gate hook: measure the stage's cohort, veto on
-// residual regression. Distinct stages with equal cohort sizes reuse the
-// measured pair — the sweeps are pure functions of (spec, seeds, cohort).
+// check is the fleet.Plan.Gate hook: measure the residual pair on the
+// first gated stage, then veto any stage on residual regression.
 func (g *residualGate) check(sr fleet.StageReport) error {
-	ev, ok := g.byCohort[sr.Attempted]
-	if !ok {
+	if g.pair == nil {
 		base, err := g.residual("baseline", sr.Attempted, g.baseH)
 		if err != nil {
 			return err
@@ -215,15 +216,14 @@ func (g *residualGate) check(sr fleet.StageReport) error {
 		if err != nil {
 			return err
 		}
-		ev = StageEvidence{
-			Cohort:            sr.Attempted,
+		g.pair = &StageEvidence{
 			BaselineResidual:  base,
 			CandidateResidual: cand,
 			Regressed:         cand > base*(1+g.cfg.Tolerance),
 		}
-		g.byCohort[sr.Attempted] = ev
 	}
-	ev.Stage = sr.Stage
+	ev := *g.pair
+	ev.Stage, ev.Cohort = sr.Stage, sr.Attempted
 	g.outcome.Evidence = append(g.outcome.Evidence, ev)
 	if ev.Regressed {
 		return fmt.Errorf("residual risk regressed at cohort %d: baseline %.4f, candidate %.4f",
@@ -250,6 +250,11 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 	if len(cfg.Vehicles) == 0 {
 		return nil, errors.New("rollout: no vehicles")
+	}
+	// Written so that NaN fails the check: with a NaN tolerance every gate
+	// comparison is false and a regressed candidate would advance.
+	if !(cfg.Tolerance >= 0 && cfg.Tolerance <= math.MaxFloat64) {
+		return nil, fmt.Errorf("rollout: tolerance %v is not a finite non-negative number", cfg.Tolerance)
 	}
 	plan := cfg.Plan
 	if len(plan.Stages) == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -255,6 +256,12 @@ func TestRolloutConfigValidation(t *testing.T) {
 		{"nil candidate", Config{OEM: oem, Current: current, Vehicles: vehicles}},
 		{"no vehicles", Config{OEM: oem, Current: current, Candidate: cand}},
 		{"non-advancing version", Config{OEM: oem, Current: cand, Candidate: current, Vehicles: vehicles}},
+		// A NaN tolerance fails every gate comparison, so a regressed
+		// candidate would advance; an infinite one vetoes nothing.
+		{"NaN tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: math.NaN()}},
+		{"+Inf tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: math.Inf(1)}},
+		{"-Inf tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: math.Inf(-1)}},
+		{"negative tolerance", Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles, Tolerance: -0.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -274,5 +281,35 @@ func TestRolloutDuplicateVehicleIDRejected(t *testing.T) {
 	_, err := Run(Config{OEM: oem, Current: current, Candidate: cand, Vehicles: vehicles})
 	if !errors.Is(err, fleet.ErrDuplicateID) {
 		t.Fatalf("duplicate VIN not rejected: %v", err)
+	}
+}
+
+// TestGateSweepsOncePerRollout pins the gate's measurement budget: the
+// residual pair does not depend on the cohort size, so a 4-stage advancing
+// rollout runs exactly one baseline and one candidate sweep (counted from
+// the telemetry lines each sweep emits), while every stage still records
+// its own evidence.
+func TestGateSweepsOncePerRollout(t *testing.T) {
+	oem, current := testOEM(t)
+	vehicles, _ := storeFleet(t, oem, current, 100, 0) // cohorts 1, 9, 40, 50
+	var telemetry bytes.Buffer
+	out, err := Run(Config{
+		OEM: oem, Current: current, Candidate: benignCandidate(current),
+		Vehicles: vehicles, GateSpec: gateSpec(), RootSeed: 1, Telemetry: &telemetry,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Advanced() || len(out.Evidence) != 4 {
+		t.Fatalf("want a 4-stage advance, got %d gated stages:\n%s", len(out.Evidence), out)
+	}
+	if n := strings.Count(telemetry.String(), "telemetry: gate="); n != 2 {
+		t.Errorf("rollout ran %d gate sweeps, want 2:\n%s", n, telemetry.String())
+	}
+	for i, ev := range out.Evidence {
+		if ev.Stage != i || ev.Cohort != out.Report.Stages[i].Attempted {
+			t.Errorf("evidence %d is stamped stage %d cohort %d, want stage %d cohort %d",
+				i, ev.Stage, ev.Cohort, i, out.Report.Stages[i].Attempted)
+		}
 	}
 }

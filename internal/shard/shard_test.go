@@ -139,10 +139,10 @@ func TestShardedChaosHealthIdentical(t *testing.T) {
 	}
 }
 
-// TestSpawnedShardsByteIdentical drives the subprocess wire path without a
-// subprocess: the spawn hook runs the range in-process but round-trips the
-// wire report through its JSON encoding, proving the serialization carries
-// everything the merge needs.
+// TestSpawnedShardsByteIdentical drives the spawn-hook path without a
+// subprocess: the hook runs the range in-process, encodes the whole shard
+// onto the binary wire into a buffer, and serves the decoded stream —
+// proving the encoding carries everything the merge needs.
 func TestSpawnedShardsByteIdentical(t *testing.T) {
 	cfg := smallCfg(6)
 	oracle, err := engine.Run(cfg)
@@ -153,14 +153,10 @@ func TestSpawnedShardsByteIdentical(t *testing.T) {
 	got, err := Run(Config{Engine: cfg, Shards: 3, Spawn: func(r Range) (Stream, error) {
 		spawned++
 		var buf bytes.Buffer
-		if err := RunRange(cfg, r).Encode(&buf); err != nil {
+		if err := RunRangeWire(cfg, r, &buf); err != nil {
 			return nil, err
 		}
-		w, err := DecodeWireReport(&buf)
-		if err != nil {
-			return nil, err
-		}
-		return w.Stream(), nil
+		return NewWireStream(&buf, nil), nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -171,6 +167,38 @@ func TestSpawnedShardsByteIdentical(t *testing.T) {
 	if got.String() != oracle.String() {
 		t.Errorf("spawned merge diverged from oracle\n--- oracle\n%s\n--- spawned\n%s", oracle.String(), got.String())
 	}
+}
+
+// sliceStream is a test-local Stream over vehicle reports already in
+// memory, with whatever trailer the test sets: the fake transport the
+// driver-contract tests lie through.
+type sliceStream struct {
+	vs      []engine.VehicleReport
+	r       Range
+	errText string
+	i       int
+}
+
+func (s *sliceStream) Next() (*engine.VehicleReport, error) {
+	if s.i >= len(s.vs) {
+		return nil, io.EOF
+	}
+	s.i++
+	return &s.vs[s.i-1], nil
+}
+
+func (s *sliceStream) Trailer() (Range, string, error) { return s.r, s.errText, nil }
+func (s *sliceStream) Close() error                    { return nil }
+
+// localStream runs one range in process and serves its outcome as a
+// sliceStream with an honest trailer.
+func localStream(t *testing.T, cfg engine.Config, r Range) *sliceStream {
+	t.Helper()
+	fr, err := engine.Run(rangeConfig(cfg, r))
+	if err != nil {
+		t.Fatalf("range %s: %v", r, err)
+	}
+	return &sliceStream{vs: fr.Vehicles, r: r}
 }
 
 // TestShardedUnrecoverableSurfaces asserts the partial-report contract
@@ -273,7 +301,7 @@ func TestSpawnErrorPartialReport(t *testing.T) {
 		if r.Start == 2 { // the second of four 2-vehicle ranges
 			return nil, boom
 		}
-		return RunRange(cfg, r).Stream(), nil
+		return localStream(t, cfg, r), nil
 	}
 	for _, par := range []int{1, 3} {
 		got, err := Run(Config{Engine: cfg, Shards: 4, Spawn: spawn, Parallelism: par})
@@ -305,11 +333,11 @@ func TestSpawnErrorPartialReport(t *testing.T) {
 func TestTrailerMismatchRecorded(t *testing.T) {
 	cfg := smallCfg(4)
 	spawn := func(r Range) (Stream, error) {
-		w := RunRange(cfg, r)
+		st := localStream(t, cfg, r)
 		if r.Start == 0 {
-			w.Range = Range{Start: 99, Count: 1} // lie about coverage
+			st.r = Range{Start: 99, Count: 1} // lie about coverage
 		}
-		return w.Stream(), nil
+		return st, nil
 	}
 	got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn})
 	if err == nil {
@@ -320,6 +348,32 @@ func TestTrailerMismatchRecorded(t *testing.T) {
 	}
 	if got == nil || len(got.Vehicles) != 4 {
 		t.Fatalf("mismatched shard's vehicles were dropped: %+v", got)
+	}
+}
+
+// TestOvercountRecorded pins the count half of the range contract: a
+// stream carrying more vehicles than its range is recorded, only the
+// range's own count is folded, and the other shard still merges.
+func TestOvercountRecorded(t *testing.T) {
+	cfg := smallCfg(4)
+	spawn := func(r Range) (Stream, error) {
+		st := localStream(t, cfg, r)
+		if r.Start == 2 {
+			st.vs = append(st.vs, st.vs[len(st.vs)-1]) // one vehicle too many
+		}
+		return st, nil
+	}
+	for _, par := range []int{1, 2} {
+		got, err := Run(Config{Engine: cfg, Shards: 2, Spawn: spawn, Parallelism: par})
+		if err == nil {
+			t.Fatalf("parallelism=%d: overcount surfaced no error", par)
+		}
+		if !strings.Contains(err.Error(), "shard 2:2: stream carried 3 vehicles") {
+			t.Errorf("parallelism=%d: error does not describe the overcount: %v", par, err)
+		}
+		if got == nil || len(got.Vehicles) != 4 {
+			t.Fatalf("parallelism=%d: merged report carries %+v, want the fleet's 4 vehicles", par, got)
+		}
 	}
 }
 

@@ -3,9 +3,9 @@
 // terminated by a trailer frame that echoes the shard's range and error
 // text.
 //
-// The JSON wire format PR 9 shipped proves the sharding contract but pays
-// for it: at fleet=10^6 each child JSON-encodes ~250k vehicle reports
-// (~1GB across the pipe) and the parent buffers every child's entire
+// It replaced a JSON document wire, which proved the sharding contract but
+// paid for it: at fleet=10^6 each child JSON-encoded ~250k vehicle reports
+// (~1GB across the pipe) and the parent buffered every child's entire
 // stdout before decoding. This codec replaces the document with a stream —
 // frames are written as vehicles complete and decoded as they arrive, so
 // neither side ever holds a whole shard's report set — and replaces JSON

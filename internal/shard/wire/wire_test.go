@@ -206,8 +206,8 @@ func TestBytesAfterTrailerRejected(t *testing.T) {
 	}
 }
 
-// TestBadMagicOnJSON: a JSON child piped into a binary reader (the classic
-// -shard-wire mismatch) surfaces as ErrBadMagic, not a decode panic.
+// TestBadMagicOnJSON: a JSON document piped into a binary reader (say, a
+// foreign or outdated child) surfaces as ErrBadMagic, not a decode panic.
 func TestBadMagicOnJSON(t *testing.T) {
 	_, _, err := drainStream([]byte(`{"Range":"0:5","Report":{}}`))
 	if !errors.Is(err, wire.ErrBadMagic) {
