@@ -69,7 +69,8 @@
 //     concurrently under a bounded in-order merge window
 //     (-shard-parallelism)
 //   - internal/shard/wire — the shard transport: a versioned,
-//     CRC32-framed varint stream carrying one vehicle report per frame,
+//     CRC32-framed varint stream carrying each vehicle's varying fields
+//     in one frame and the shared attack block once per change of block,
 //     written as vehicles complete and decoded incrementally (neither side
 //     buffers a shard's report set); any corrupted byte surfaces as a
 //     typed checksum error the shard driver records like a failed shard

@@ -223,7 +223,9 @@ func Parse(s string) (*Plan, error) {
 			p.Persist = n
 		case "panic", "corrupt", "deadline", "crash":
 			r, err := strconv.ParseFloat(val, 64)
-			if err != nil || r < 0 || r > 1 {
+			// Negated so NaN, which compares false both ways, is rejected
+			// instead of parsing into a rate that never fires.
+			if err != nil || !(r >= 0 && r <= 1) {
 				return nil, fmt.Errorf("chaos: bad %s rate %q (want [0, 1])", key, val)
 			}
 			switch key {

@@ -137,6 +137,26 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonFiniteRates: NaN compares false against both bounds,
+// so a plain range check would let "panic=NaN" parse into a plan that never
+// fires; every rate must refuse NaN and ±Inf with the bad-rate error.
+func TestParseRejectsNonFiniteRates(t *testing.T) {
+	for _, key := range []string{"panic", "corrupt", "deadline", "crash"} {
+		for _, val := range []string{"NaN", "+Inf", "-Inf"} {
+			t.Run(key+"_"+val, func(t *testing.T) {
+				spec := "seed=7," + key + "=" + val
+				p, err := Parse(spec)
+				if err == nil {
+					t.Fatalf("Parse(%q) accepted: %+v", spec, p)
+				}
+				if want := "bad " + key + " rate"; !strings.Contains(err.Error(), want) {
+					t.Errorf("Parse(%q) error = %q, want it to mention %q", spec, err, want)
+				}
+			})
+		}
+	}
+}
+
 // TestInjectedErrorsIdentifyCoordinates: the panic and crash payloads name
 // their injection site, so a quarantine record is debuggable on its own.
 func TestInjectedErrorsIdentifyCoordinates(t *testing.T) {

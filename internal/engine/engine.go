@@ -487,7 +487,7 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 		}
 		return err
 	})
-	return mergeScaled(*cfg, reports, block), errors.Join(cellErr, onceErr, vehErr)
+	return merge(*cfg, reports), errors.Join(cellErr, onceErr, vehErr)
 }
 
 // runVehicleMajor is the supervised and oracle sweep: every vehicle visit
@@ -810,25 +810,6 @@ func Merge(cfg Config, vehicles []VehicleReport) (*FleetReport, error) {
 		return nil, err
 	}
 	return merge(cfg, vehicles), nil
-}
-
-// mergeScaled is merge for a cell-major run, whose vehicles all share one
-// group block: the fleet's group aggregates are the block scaled by the
-// fleet size (exactly the fold of that many copies, the counters being
-// integers), while bus counters, Health and the utilisation sum still fold
-// vehicle by vehicle in index order.
-func mergeScaled(cfg Config, vehicles []VehicleReport, block [][]attack.RegimeSummary) *FleetReport {
-	m := newMergeFold(cfg)
-	for i := range vehicles {
-		m.foldCounters(&vehicles[i])
-	}
-	for gi := range block {
-		for ri := range block[gi] {
-			m.fr.Groups[gi].Regimes[ri].Summary = block[gi][ri].Summary.Scale(len(vehicles))
-		}
-	}
-	m.fr.Vehicles = vehicles
-	return m.finish()
 }
 
 // merge folds per-vehicle reports (in index order) into the fleet report:

@@ -14,6 +14,13 @@ import (
 // summation order — so a stream folded in index order finishes
 // byte-identical to the batch merge of the same vehicles.
 //
+// Vehicles whose Groups share one backing array — every vehicle of a
+// cell-major run, and every vehicle a wire reader decodes after one block
+// frame — carry the same block, so consecutive ones are folded as one run:
+// the block's summaries scaled by the run length, exactly the per-vehicle
+// Merge since every counter is an integer. Bus counters, Health and the
+// utilisation sum still fold vehicle by vehicle, in arrival order.
+//
 // Not safe for concurrent use: the shard driver serialises Adds behind
 // its in-range-order merge loop, exactly as the batch fold serialises its
 // slice walk.
@@ -21,6 +28,10 @@ type MergeFold struct {
 	cfg     Config
 	fr      *FleetReport
 	utilSum float64
+	// run is the block the last runLen folded vehicles share; its group
+	// aggregates are not yet in fr.
+	run    [][]attack.RegimeSummary
+	runLen int
 }
 
 // NewMergeFold starts an incremental fleet merge. cfg must describe the
@@ -67,21 +78,15 @@ func (m *MergeFold) Add(v VehicleReport) {
 	m.fr.Vehicles = append(m.fr.Vehicles, v)
 }
 
-// fold accumulates one vehicle's counters and group aggregates — the exact
-// per-vehicle statement order of the original batch merge, which is what
-// pins the float summation order byte-identity rests on.
+// fold accumulates one vehicle: its counters now, in arrival order (the
+// float summation order byte-identity rests on), and its group block as
+// part of the current run.
 func (m *MergeFold) fold(v *VehicleReport) {
-	m.foldCounters(v)
-	for gi := range v.Groups {
-		for ri := range v.Groups[gi] {
-			m.fr.Groups[gi].Regimes[ri].Summary.Merge(v.Groups[gi][ri].Summary)
-		}
+	if !sameBlock(v.Groups, m.run) {
+		m.flushRun()
+		m.run = v.Groups
 	}
-}
-
-// foldCounters accumulates everything of one vehicle but its group
-// aggregates.
-func (m *MergeFold) foldCounters(v *VehicleReport) {
+	m.runLen++
 	fr := m.fr
 	fr.Health.Merge(v.Health)
 	fr.FramesDelivered += v.FramesDelivered
@@ -94,11 +99,29 @@ func (m *MergeFold) foldCounters(v *VehicleReport) {
 	m.utilSum += v.Utilisation
 }
 
+// flushRun folds the current run's block, scaled by its length, into the
+// group aggregates.
+func (m *MergeFold) flushRun() {
+	for gi := range m.run {
+		for ri := range m.run[gi] {
+			m.fr.Groups[gi].Regimes[ri].Summary.Merge(m.run[gi][ri].Summary.Scale(m.runLen))
+		}
+	}
+	m.run, m.runLen = nil, 0
+}
+
+// sameBlock reports whether a and b are the same block: one backing array,
+// one length. Blocks are read-only, so that implies equal contents.
+func sameBlock(a, b [][]attack.RegimeSummary) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // Finish closes the fold and returns the fleet report. The MergeFold must
 // not be used afterwards.
 func (m *MergeFold) Finish() *FleetReport { return m.finish() }
 
 func (m *MergeFold) finish() *FleetReport {
+	m.flushRun()
 	fr := m.fr
 	groupRegimes := make([][]attack.RegimeSummary, len(fr.Groups))
 	for gi := range fr.Groups {

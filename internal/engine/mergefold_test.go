@@ -3,10 +3,12 @@ package engine
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/attack"
 	"repro/internal/chaos"
 )
 
@@ -41,6 +43,85 @@ func TestMergeFoldMatchesMerge(t *testing.T) {
 	}
 	if got, want := streamed.String(), fr.String(); got != want {
 		t.Errorf("MergeFold diverged from the live run\n--- run\n%s\n--- fold\n%s", want, got)
+	}
+}
+
+// TestRunScaledFoldMatchesPerVehicleFold pins MergeFold's run folding:
+// vehicles sharing one group block fold as that block scaled by the run
+// length, and that must equal merging every vehicle's summaries one at a
+// time. Covered on a cell-major run (one block for the whole fleet) and on
+// a chaos-armed vehicle-major run (a separate block per vehicle), each
+// folded as run and as deep copies that share nothing.
+func TestRunScaledFoldMatchesPerVehicleFold(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		chaos  *chaos.Plan
+		shared bool // every vehicle's Groups is one backing array
+	}{
+		{"cell-major", nil, true},
+		{"vehicle-major-chaos", &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := groupConfig(testGroups(), 3, false)
+			cfg.Fleet = 9
+			cfg.Chaos = tc.chaos
+			fr, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vs := fr.Vehicles
+			for i := 1; i < len(vs); i++ {
+				if got := sameBlock(vs[i].Groups, vs[0].Groups); got != tc.shared {
+					t.Fatalf("vehicle %d shares vehicle 0's block = %v, want %v", i, got, tc.shared)
+				}
+			}
+
+			// Reference: every vehicle's summaries merged one at a time.
+			want := make([][]attack.RegimeSummary, len(fr.Groups))
+			for gi := range want {
+				want[gi] = make([]attack.RegimeSummary, len(fr.Groups[gi].Regimes))
+				for ri := range want[gi] {
+					want[gi][ri].Regime = fr.Groups[gi].Regimes[ri].Regime
+				}
+			}
+			for _, v := range vs {
+				for gi := range v.Groups {
+					for ri := range v.Groups[gi] {
+						want[gi][ri].Summary.Merge(v.Groups[gi][ri].Summary)
+					}
+				}
+			}
+
+			fold := func(clone bool) *FleetReport {
+				m, err := NewMergeFold(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range vs {
+					if clone {
+						g := make([][]attack.RegimeSummary, len(v.Groups))
+						for gi := range g {
+							g[gi] = slices.Clone(v.Groups[gi])
+						}
+						v.Groups = g
+					}
+					m.Add(v)
+				}
+				return m.Finish()
+			}
+			scaled, single := fold(false), fold(true)
+			for _, got := range []*FleetReport{fr, scaled, single} {
+				for gi := range want {
+					if !reflect.DeepEqual(got.Groups[gi].Regimes, want[gi]) {
+						t.Errorf("group %d aggregates %+v, want per-vehicle fold %+v", gi, got.Groups[gi].Regimes, want[gi])
+					}
+				}
+			}
+			if scaled.String() != single.String() || scaled.String() != fr.String() {
+				t.Errorf("run-scaled fold, per-vehicle fold and the run's own report differ\n--- run\n%s\n--- scaled\n%s\n--- per-vehicle\n%s",
+					fr, scaled, single)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // quickstartVehicles sweeps a small fleet through the shipped quickstart
 // campaign — the corpus the fuzzer mutates is real production payloads, not
 // synthetic fixtures (the FuzzParse pattern: seed from shipped examples).
-func quickstartVehicles(f *testing.F) []engine.VehicleReport {
+// The sweep is cell-major, so every vehicle shares one block.
+func quickstartVehicles(f testing.TB, fleet int) []engine.VehicleReport {
 	f.Helper()
 	src, err := os.ReadFile("../../../examples/campaigns/quickstart.campaign")
 	if err != nil {
@@ -29,7 +30,7 @@ func quickstartVehicles(f *testing.F) []engine.VehicleReport {
 		f.Fatal(err)
 	}
 	ecfg, err := campaign.EngineConfig(plan, campaign.SweepConfig{
-		Fleet: 3, Workers: 2, RootSeed: 42,
+		Fleet: fleet, Workers: 2, RootSeed: 42,
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -56,22 +57,25 @@ func quickstartVehicles(f *testing.F) []engine.VehicleReport {
 // The corpus is seeded from a real quickstart campaign sweep so the
 // mutator starts from production-shaped payloads.
 func FuzzWireCodec(f *testing.F) {
-	vs := quickstartVehicles(f)
+	vs := quickstartVehicles(f, 3)
 	for i := range vs {
 		f.Add(wire.AppendVehicle(nil, &vs[i]))
 	}
-	// A whole stream (header + frames + trailer) seeds the framing branch.
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	for i := range vs {
-		if err := w.WriteVehicle(&vs[i]); err != nil {
+	// Whole streams (header + frames + trailer) seed the framing branch:
+	// one block shared by every vehicle, and one switching blocks midway.
+	for _, stream := range [][]engine.VehicleReport{vs, twoBlockVehicles(f)} {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		for i := range stream {
+			if err := w.WriteVehicle(&stream[i]); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.WriteTrailer(wire.Trailer{Start: 0, Count: len(stream), Err: "boom"}); err != nil {
 			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
 	}
-	if err := w.WriteTrailer(wire.Trailer{Start: 0, Count: len(vs), Err: "boom"}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("CSW\x01"))
 

@@ -20,7 +20,7 @@ import (
 // the per-vehicle Health ledgers carry non-zero counters) and returns its
 // vehicle reports — the codec tests encode production shapes, not
 // hand-rolled fixtures.
-func realVehicles(t *testing.T, fleet int) []engine.VehicleReport {
+func realVehicles(t testing.TB, fleet int) []engine.VehicleReport {
 	t.Helper()
 	fr, err := engine.Run(engine.Config{
 		Fleet:          fleet,
@@ -40,6 +40,15 @@ func realVehicles(t *testing.T, fleet int) []engine.VehicleReport {
 		t.Fatal("chaos plan injected nothing; tests need fault-bearing health ledgers")
 	}
 	return fr.Vehicles
+}
+
+// twoBlockVehicles returns three cell-major quickstart vehicles, which share
+// one block, then three chaos-armed vehicle-major vehicles, whose blocks
+// are separate allocations of one other block: a stream of two distinct
+// blocks.
+func twoBlockVehicles(t testing.TB) []engine.VehicleReport {
+	t.Helper()
+	return append(quickstartVehicles(t, 3), realVehicles(t, 3)...)
 }
 
 // encodeStream renders vehicles + trailer into one complete wire stream.
@@ -77,26 +86,45 @@ func drainStream(b []byte) ([]*engine.VehicleReport, wire.Trailer, error) {
 }
 
 // TestStreamRoundTrip pins the codec's core contract: Writer→Reader
-// reproduces every vehicle report and the trailer exactly.
+// reproduces every vehicle report and the trailer exactly, and the writer
+// sends each distinct block once. The vehicle-major vehicles hold equal but
+// separately allocated blocks, so only a byte comparison dedupes them.
 func TestStreamRoundTrip(t *testing.T) {
-	vs := realVehicles(t, 5)
-	want := wire.Trailer{Start: 3, Count: 5, Err: "shard blew a fuse"}
-	stream := encodeStream(t, vs, want)
+	for _, tc := range []struct {
+		name   string
+		vs     []engine.VehicleReport
+		blocks int
+	}{
+		{"one-block", realVehicles(t, 5), 1},
+		{"two-blocks", twoBlockVehicles(t), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vs := tc.vs
+			want := wire.Trailer{Start: 3, Count: len(vs), Err: "shard blew a fuse"}
+			stream := encodeStream(t, vs, want)
+			if got := countKind(t, stream, kindBlock); got != tc.blocks {
+				t.Errorf("stream carries %d block frames, want %d", got, tc.blocks)
+			}
+			if got := countKind(t, stream, kindVehicle); got != len(vs) {
+				t.Errorf("stream carries %d vehicle frames, want %d", got, len(vs))
+			}
 
-	got, tr, err := drainStream(stream)
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if tr != want {
-		t.Errorf("trailer = %+v, want %+v", tr, want)
-	}
-	if len(got) != len(vs) {
-		t.Fatalf("decoded %d vehicles, want %d", len(got), len(vs))
-	}
-	for i := range vs {
-		if !reflect.DeepEqual(*got[i], vs[i]) {
-			t.Errorf("vehicle %d diverged:\n got %+v\nwant %+v", i, *got[i], vs[i])
-		}
+			got, tr, err := drainStream(stream)
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if tr != want {
+				t.Errorf("trailer = %+v, want %+v", tr, want)
+			}
+			if len(got) != len(vs) {
+				t.Fatalf("decoded %d vehicles, want %d", len(got), len(vs))
+			}
+			for i := range vs {
+				if !reflect.DeepEqual(*got[i], vs[i]) {
+					t.Errorf("vehicle %d diverged:\n got %+v\nwant %+v", i, *got[i], vs[i])
+				}
+			}
+		})
 	}
 }
 
@@ -141,9 +169,81 @@ func TestDecodeVehiclePayloadRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
-// headerLen is the wire header size for Version 1: 4 magic bytes + a
+// headerLen is the wire header size for Version 2: 4 magic bytes + a
 // single-byte uvarint version.
 const headerLen = 5
+
+// frameSpan is one frame's byte range within a stream and its payload kind.
+type frameSpan struct {
+	start, end int
+	kind       byte
+}
+
+// frames splits a valid stream into its frames.
+func frames(t *testing.T, stream []byte) []frameSpan {
+	t.Helper()
+	var out []frameSpan
+	for off := headerLen; off < len(stream); {
+		n, k := binary.Uvarint(stream[off:])
+		if k <= 0 {
+			t.Fatalf("bad frame length at offset %d", off)
+		}
+		end := off + k + int(n) + 4
+		out = append(out, frameSpan{start: off, end: end, kind: stream[off+k]})
+		off = end
+	}
+	return out
+}
+
+// Frame kinds as the stream grammar numbers them.
+const (
+	kindVehicle = 0x01
+	kindBlock   = 0x03
+)
+
+// countKind counts a stream's frames of one kind.
+func countKind(t *testing.T, stream []byte, kind byte) int {
+	n := 0
+	for _, f := range frames(t, stream) {
+		if f.kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// TestVehicleBeforeBlockRejected: a vehicle frame is only half a report,
+// so one that arrives before any block frame is corrupt.
+func TestVehicleBeforeBlockRejected(t *testing.T) {
+	stream := encodeStream(t, realVehicles(t, 2), wire.Trailer{Start: 0, Count: 2})
+	fs := frames(t, stream)
+	if fs[0].kind != kindBlock || fs[1].kind != kindVehicle {
+		t.Fatalf("stream opens with frame kinds %#x, %#x; want block, vehicle", fs[0].kind, fs[1].kind)
+	}
+	headless := append(bytes.Clone(stream[:headerLen]), stream[fs[1].start:]...)
+	if _, _, err := drainStream(headless); !errors.Is(err, wire.ErrFrameChecksum) {
+		t.Errorf("err = %v, want ErrFrameChecksum", err)
+	}
+}
+
+// TestDecodedVehiclesShareBlock: the reader decodes a block once, so every
+// vehicle of a cell-major stream gets the same Attacks and Groups backing
+// arrays — what lets the merge fold the whole stream's groups as one run.
+func TestDecodedVehiclesShareBlock(t *testing.T) {
+	vs := quickstartVehicles(t, 6)
+	got, _, err := drainStream(encodeStream(t, vs, wire.Trailer{Start: 0, Count: len(vs)}))
+	if err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if len(got) != len(vs) || len(got[0].Groups) == 0 || len(got[0].Attacks) == 0 {
+		t.Fatalf("decoded %d vehicles with %d groups; want %d with a block", len(got), len(got[0].Groups), len(vs))
+	}
+	for i, v := range got[1:] {
+		if &v.Groups[0] != &got[0].Groups[0] || &v.Attacks[0] != &got[0].Attacks[0] {
+			t.Errorf("vehicle %d does not share vehicle 0's decoded block", i+1)
+		}
+	}
+}
 
 // TestFlipAnyByteErrors is the corruption property the shard driver's
 // quarantine stance rests on: flip ANY single byte anywhere in a valid
@@ -152,7 +252,13 @@ const headerLen = 5
 // yield a silently different report set.
 func TestFlipAnyByteErrors(t *testing.T) {
 	vs := realVehicles(t, 3)
-	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 3})
+	flipEveryByte(t, encodeStream(t, vs, wire.Trailer{Start: 0, Count: 3}))
+	vs = twoBlockVehicles(t)
+	flipEveryByte(t, encodeStream(t, vs, wire.Trailer{Start: 0, Count: len(vs)}))
+}
+
+func flipEveryByte(t *testing.T, stream []byte) {
+	t.Helper()
 	for i := range stream {
 		for _, bit := range []byte{0x01, 0x80} {
 			mut := bytes.Clone(stream)
@@ -184,7 +290,13 @@ func TestFlipAnyByteErrors(t *testing.T) {
 // a crashed child and is treated as corruption.
 func TestTruncationErrors(t *testing.T) {
 	vs := realVehicles(t, 2)
-	stream := encodeStream(t, vs, wire.Trailer{Start: 0, Count: 2})
+	truncateEverywhere(t, encodeStream(t, vs, wire.Trailer{Start: 0, Count: 2}))
+	vs = twoBlockVehicles(t)
+	truncateEverywhere(t, encodeStream(t, vs, wire.Trailer{Start: 0, Count: len(vs)}))
+}
+
+func truncateEverywhere(t *testing.T, stream []byte) {
+	t.Helper()
 	for n := 0; n < len(stream); n++ {
 		_, _, err := drainStream(stream[:n])
 		if err == nil {
