@@ -579,50 +579,6 @@ func BenchmarkCampaignSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointAblation (E9) ablates prefix checkpointing per scenario
-// kind: each kind's quickstart families (mutate: 186 scenarios, flood: 8,
-// staged: 16) swept on one vehicle and one worker, batched (each prefix
-// bucket replays its shared pre-attack prefix once and forks the remaining
-// cells from a checkpoint) versus the NoBatch oracle (every cell from a
-// reset arena). At fleet 1 cell-major scaling has nothing to scale, so the
-// delta is checkpointing alone; the harness is built once, outside the
-// timed loop, so policy compilation does not dilute it. EXPERIMENTS.md §8
-// records the result.
-func BenchmarkCheckpointAblation(b *testing.B) {
-	plan := loadCampaign(b, "examples/campaigns/quickstart.campaign")
-	h, err := attack.NewHarnessBackend("")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kind := range []string{"mutate", "flood", "staged"} {
-		sub := *plan
-		sub.Families = nil
-		for _, fam := range plan.Families {
-			if fam.Kind == kind {
-				sub.Families = append(sub.Families, fam)
-			}
-		}
-		for _, mode := range []struct {
-			name    string
-			noBatch bool
-		}{{"batched", false}, {"oracle", true}} {
-			b.Run(fmt.Sprintf("kind=%s/%s", kind, mode.name), func(b *testing.B) {
-				var rep *campaign.CampaignReport
-				for i := 0; i < b.N; i++ {
-					var err error
-					rep, err = campaign.Sweep(&sub, campaign.SweepConfig{
-						Fleet: 1, Workers: 1, RootSeed: 42, Harness: h, NoBatch: mode.noBatch,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(rep.Cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-			})
-		}
-	}
-}
-
 // BenchmarkShardedSweep (E7) sweeps the quickstart campaign through the
 // internal/shard partition-and-merge layer: the fleet index space split into
 // contiguous ranges, each range an independent engine run, the merged report

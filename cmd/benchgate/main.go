@@ -112,7 +112,7 @@ func printDeltaSummary(snapPath string, rows []deltaRow) {
 
 // printHealth is the containment-visibility side mode: it scans a carsim
 // report (the CI smoke artifacts) for the sweep supervisor's health line and
-// echoes the quarantine/retry/demotion counters with a benchgate prefix, so
+// echoes the quarantine/retry counters with a benchgate prefix, so
 // the CI log's smoke-diff section shows what the supervisor contained
 // without anyone opening artifacts. Informational only — determinism is
 // asserted by the diffs themselves, so this mode never fails the build.

@@ -16,7 +16,6 @@
 //	carsim -risk examples/threatmodels/connected-car.json
 //	carsim -risk examples/threatmodels/connected-car.json -list-scenarios
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -chaos "seed=7,panic=0.01,crash=0.002"
-//	carsim -campaign examples/campaigns/quickstart.campaign -fleet 50 -verify-sample 0.05
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 100 -cpuprofile cpu.out -memprofile mem.out
 //	carsim -campaign examples/campaigns/quickstart.campaign -fleet 1000 -shards 4 -shard-exec -shard-parallelism 2
 //
@@ -90,13 +89,12 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&s.Workers, "workers", 0, "bound the fleet worker pool (default GOMAXPROCS)")
 	fs.Uint64Var(&s.RootSeed, "seed", 1, "root seed for deterministic per-vehicle seed derivation")
 	reuse := fs.Bool("reuse", true, "pool vehicles per worker (reset in place); false rebuilds every stack from scratch")
-	fs.BoolVar(&s.NoBatch, "no-batch", false, "run the cell-by-cell oracle executor instead of the batched default (prefix checkpointing + cell-major fleet scaling); reports are byte-identical either way")
+	fs.BoolVar(&s.NoBatch, "no-batch", false, "run every cell on every vehicle (vehicle-major reference) instead of the cell-major default (each cell once, scaled to the fleet); reports are byte-identical either way")
 	fs.BoolVar(&o.detail, "detail", false, "with -campaign: append the verbose per-family detail block (stage counters included)")
 	fs.StringVar(&o.campaignFile, "campaign", "", "compile a campaign spec (text or JSON) and sweep it across the fleet")
 	fs.StringVar(&o.riskFile, "risk", "", "run a risk spec: synthesize a campaign from its threat model, sweep it, print the calibrated profile")
 	fs.BoolVar(&o.listScenarios, "list-scenarios", false, "with -campaign or -risk: dump the generated scenario matrix without running it")
-	chaosSpec := fs.String("chaos", "", "arm deterministic fault injection, e.g. \"seed=7,panic=0.01,corrupt=0.005,deadline=0.002,crash=0.001\" (\"off\" disables)")
-	fs.Float64Var(&s.VerifySample, "verify-sample", 0, "cross-check this fraction of batched cells against the cell-by-cell oracle inline (0 disables)")
+	chaosSpec := fs.String("chaos", "", "arm deterministic fault injection, e.g. \"seed=7,panic=0.01,deadline=0.002,crash=0.001\" (\"off\" disables); an armed run is vehicle-major")
 	fs.StringVar(&s.PolicyBackend, "policy-backend", "", "policy enforcement backend for swept vehicles: "+strings.Join(ir.Names(), ", ")+" (default table)")
 	fs.IntVar(&s.Shards, "shards", 0, "partition the fleet index space into N contiguous ranges run as independent engine runs; the merged report is byte-identical to the unsharded sweep")
 	shardExec := fs.Bool("shard-exec", false, "with -shards: run each shard as a carsim subprocess (binary shard wire over stdout) instead of in-process")
@@ -113,10 +111,11 @@ func parseFlags(args []string) (*options, error) {
 	if s.Chaos, err = chaos.Parse(*chaosSpec); err != nil {
 		return nil, err
 	}
-	// Written so that NaN fails the range check: every comparison with NaN
-	// is false.
-	if !(s.VerifySample >= 0 && s.VerifySample <= 1) {
-		return nil, fmt.Errorf("-verify-sample %v outside [0, 1]", s.VerifySample)
+	if s.Fleet < 0 {
+		return nil, fmt.Errorf("-fleet %d is negative", s.Fleet)
+	}
+	if s.Workers < 0 {
+		return nil, fmt.Errorf("-workers %d is negative", s.Workers)
 	}
 	if _, err := ir.Lookup(s.PolicyBackend); err != nil {
 		return nil, err
@@ -310,7 +309,6 @@ func engineConfig(o *options) (engine.Config, error) {
 		PolicyBackend:  s.PolicyBackend,
 		NoBatch:        s.NoBatch,
 		Chaos:          s.Chaos,
-		VerifySample:   s.VerifySample,
 		MaxRetries:     s.MaxRetries,
 	}, nil
 }
@@ -359,9 +357,6 @@ func childArgs(o *options, r shard.Range) []string {
 	}
 	if s.Chaos != nil {
 		args = append(args, "-chaos", s.Chaos.String())
-	}
-	if s.VerifySample > 0 {
-		args = append(args, "-verify-sample", strconv.FormatFloat(s.VerifySample, 'g', -1, 64))
 	}
 	if s.PolicyBackend != "" {
 		args = append(args, "-policy-backend", s.PolicyBackend)
@@ -458,10 +453,10 @@ func poolMode(fresh bool) string {
 }
 
 // execMode names the executor for the report header: "batched" is the
-// default prefix-checkpointed path, "oracle" the -no-batch cell-by-cell
+// default cell-major sweep, "oracle" the -no-batch vehicle-major
 // reference. The marker sits in the deterministic body on purpose — the CI
 // equivalence smoke strips it (with the throughput line) before diffing a
-// batched run against an oracle run.
+// cell-major run against a -no-batch run.
 func execMode(noBatch bool) string {
 	if noBatch {
 		return "oracle"

@@ -13,8 +13,8 @@ import (
 // configuration with the parent-only sharding flags.
 var sweepFlags = []string{
 	"-fleet", "9", "-workers", "3", "-seed", "42",
-	"-chaos", "seed=7,panic=0.02,corrupt=0.01,crash=0.005,persist=2",
-	"-verify-sample", "0.25", "-policy-backend", "closure",
+	"-chaos", "seed=7,panic=0.02,deadline=0.01,crash=0.005,persist=2",
+	"-policy-backend", "closure",
 	"-reuse=false", "-no-batch",
 	"-shards", "3", "-shard-exec", "-shard-parallelism", "2",
 }
@@ -56,11 +56,10 @@ func TestParseFlagsRejects(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-verify-sample", "NaN"}, "-verify-sample"},
-		{[]string{"-verify-sample", "+Inf"}, "-verify-sample"},
-		{[]string{"-verify-sample", "-Inf"}, "-verify-sample"},
-		{[]string{"-verify-sample", "-0.5"}, "-verify-sample"},
-		{[]string{"-verify-sample", "1.5"}, "-verify-sample"},
+		{[]string{"-fleet", "-5"}, "-fleet -5 is negative"},
+		{[]string{"-workers", "-2"}, "-workers -2 is negative"},
+		{[]string{"-chaos", "corrupt=0.1"}, "unknown field"},
+		{[]string{"-chaos", "deadline=NaN"}, "bad deadline rate"},
 		{[]string{"-shard-wire", "json"}, "JSON shard wire was removed"},
 		{[]string{"-shard-wire", "xml"}, "want binary"},
 		{[]string{"-shards", "-1"}, "negative"},
@@ -75,7 +74,7 @@ func TestParseFlagsRejects(t *testing.T) {
 			t.Errorf("parseFlags(%q) = %v, want mention of %q", tc.args, err, tc.want)
 		}
 	}
-	if _, err := parseFlags([]string{"-verify-sample", "1", "-shard-wire", "binary"}); err != nil {
+	if _, err := parseFlags([]string{"-fleet", "0", "-workers", "0", "-shard-wire", "binary"}); err != nil {
 		t.Errorf("in-domain flags rejected: %v", err)
 	}
 }

@@ -77,6 +77,12 @@ func run(vehicleCount int, candidateFile, drill string, applyFail float64, seed 
 	if !(tolerance >= 0 && tolerance <= math.MaxFloat64) {
 		return 1, fmt.Errorf("-tolerance %v is not a finite non-negative number", tolerance)
 	}
+	if workers < 0 {
+		return 1, fmt.Errorf("-workers %d is negative", workers)
+	}
+	if shards < 0 {
+		return 1, fmt.Errorf("-shards %d is negative", shards)
+	}
 	if _, err := ir.Lookup(backend); err != nil {
 		return 1, err
 	}

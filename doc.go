@@ -42,7 +42,8 @@
 //     per-worker vehicle arenas that reset one stack in place per vehicle
 //     instead of rebuilding it; the default sweep is cell-major (each
 //     cell simulated once per run, the fleet derived by exact integer
-//     scaling), the supervised and oracle sweeps vehicle-major
+//     scaling, prefix-grouped cells claimed across workers, every cell
+//     reset in place), the chaos-armed and NoBatch sweeps vehicle-major
 //   - internal/campaign  — procedural adversary-campaign generator: a
 //     declarative text/JSON spec (campaign.Parse) expands into families of
 //     generated scenarios — Table I mutations, coordinated multi-attacker

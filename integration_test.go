@@ -416,7 +416,7 @@ func TestChaosSupervisorEndToEnd(t *testing.T) {
 	}
 
 	chaotic, err := exec.Command(bin, append(base,
-		"-chaos", "seed=7,panic=0.02,corrupt=0.02,deadline=0.01,crash=0.005")...).CombinedOutput()
+		"-chaos", "seed=7,panic=0.02,deadline=0.01,crash=0.005")...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("recoverable chaos run failed: %v\n%s", err, chaotic)
 	}

@@ -25,7 +25,6 @@ type Arena struct {
 	guards  []*behaviour.Engine // same alignment; wrap engines for EnforceBehaviour
 	nodes   []*canbus.Node      // same alignment; stable across car resets
 	inj     injectPool          // recycled injection bursts, reset per run
-	ckpt    checkpoint          // reusable prefix checkpoint (batched sweeps)
 	seed    uint64
 }
 
@@ -91,20 +90,19 @@ func (a *Arena) StartLive(cfg car.Config) (*car.Car, error) {
 	return a.car, nil
 }
 
-// resetForRegime resets the pooled car and provisions the requested
-// enforcement regime, leaving the vehicle exactly as a scenario run expects
-// to find it. Factored out of Run so the batched path can provision once per
-// (prefix, regime) pair instead of once per cell.
-func (a *Arena) resetForRegime(enf Enforcement) error {
+// Run executes one scenario under one enforcement regime on the pooled
+// vehicle: it resets the car, provisions the requested regime, then runs
+// the scenario. Results match Harness.Run on a fresh car.
+func (a *Arena) Run(sc Scenario, enf Enforcement) (Result, error) {
 	a.car.Reset(car.Config{Seed: a.seed})
 	switch enf {
 	case EnforceHPE:
 		if err := a.deployEngines(); err != nil {
-			return err
+			return Result{}, err
 		}
 	case EnforceBehaviour:
 		if err := a.deployEngines(); err != nil {
-			return err
+			return Result{}, err
 		}
 		// Layer the pooled behavioural guards over the freshly re-provisioned
 		// identifier engines; Reset clears their rate windows so a reused
@@ -118,152 +116,11 @@ func (a *Arena) resetForRegime(enf Enforcement) error {
 			n.Controller().SetFilters()
 		}
 	}
-	return nil
-}
-
-// Run executes one scenario under one enforcement regime on the pooled
-// vehicle, resetting it first. Results match Harness.Run on a fresh car.
-func (a *Arena) Run(sc Scenario, enf Enforcement) (Result, error) {
-	if err := a.resetForRegime(enf); err != nil {
-		return Result{}, err
-	}
 	return a.h.execute(a.car, sc, enf, &a.inj)
-}
-
-// checkpoint captures the arena's complete post-prefix state: the car
-// substrate (scheduler clock, bus, nodes, vehicle state) plus every pooled
-// policy engine and behavioural guard the active regime consults. One
-// checkpoint per arena is enough — buckets are processed sequentially and
-// each (prefix, regime) pair overwrites it in place, so steady-state batched
-// sweeps capture without allocating.
-type checkpoint struct {
-	car     car.Snapshot
-	engines []hpe.Snapshot
-	guards  []behaviour.Snapshot
-}
-
-// capture snapshots the arena into ck. Engine and guard state is captured
-// only for the regimes that consult it: under EnforceNone/EnforceSoftware no
-// inline filter is installed, so their (stale, unread) state cannot affect a
-// forked cell. A violated quiescence precondition returns ErrNotQuiescent
-// (a hard panic under the chaosdebug build tag) instead of capturing state
-// the restore could not faithfully reproduce.
-func (a *Arena) capture(ck *checkpoint, enf Enforcement) error {
-	if err := a.guardQuiescent(); err != nil {
-		return err
-	}
-	a.car.Snapshot(&ck.car)
-	if enf == EnforceHPE || enf == EnforceBehaviour {
-		if ck.engines == nil {
-			ck.engines = make([]hpe.Snapshot, len(a.engines))
-		}
-		for i, e := range a.engines {
-			e.Snapshot(&ck.engines[i])
-		}
-	}
-	if enf == EnforceBehaviour {
-		if ck.guards == nil {
-			ck.guards = make([]behaviour.Snapshot, len(a.guards))
-		}
-		for i, g := range a.guards {
-			g.Snapshot(&ck.guards[i])
-		}
-	}
-	return nil
-}
-
-// restore rewinds the arena to ck. A restored arena runs a scenario tail
-// byte-identically to one that replayed the whole prefix from resetForRegime
-// — the contract the checkpoint property tests assert. It fails (with
-// hpe.ErrBackendMismatch) when the checkpoint was captured under a
-// different policy backend than the engines now run.
-func (a *Arena) restore(ck *checkpoint, enf Enforcement) error {
-	a.car.RestoreFrom(&ck.car)
-	if enf == EnforceHPE || enf == EnforceBehaviour {
-		for i, e := range a.engines {
-			if err := e.RestoreFrom(&ck.engines[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if enf == EnforceBehaviour {
-		for i, g := range a.guards {
-			g.RestoreFrom(&ck.guards[i])
-		}
-	}
-	return nil
-}
-
-// RunSummariesBatched is RunSummaries driven by a precomputed BatchPlan: for
-// every bucket of scenarios sharing a prefix it replays the prefix once per
-// regime, checkpoints the quiescent vehicle, and forks each cell from the
-// checkpoint instead of paying a full reset + regime provisioning + setup
-// replay. Singleton buckets fall back to the plain per-cell path.
-//
-// Aggregates are byte-identical to RunSummaries on the same scenarios and
-// regimes: each forked cell produces the same Result as a cold run (restore
-// equals reset — the checkpoint property tests assert it per cell), and
-// Summary.Add is commutative, so the bucket-major cell order cannot show in
-// the totals.
-func (a *Arena) RunSummariesBatched(p *BatchPlan) ([]RegimeSummary, error) {
-	out := make([]RegimeSummary, len(p.Regimes))
-	for i, enf := range p.Regimes {
-		out[i].Regime = enf
-	}
-	for _, bucket := range p.buckets {
-		if len(bucket) == 1 {
-			sc := p.Scenarios[bucket[0]]
-			for i, enf := range p.Regimes {
-				r, err := a.Run(sc, enf)
-				if err != nil {
-					return nil, err
-				}
-				out[i].Summary.Add(r)
-			}
-			continue
-		}
-		for i, enf := range p.Regimes {
-			// Shared prefix: every scenario in the bucket carries the same
-			// Setup (PlanBatches groups by prefix key, and the campaign
-			// compiler keys on the setup identity), so the first scenario's
-			// prefix stands in for all of them.
-			if err := a.resetForRegime(enf); err != nil {
-				return nil, err
-			}
-			if err := a.h.runSetup(a.car, p.Scenarios[bucket[0]]); err != nil {
-				return nil, err
-			}
-			if err := a.capture(&a.ckpt, enf); err != nil {
-				return nil, err
-			}
-			for ci, idx := range bucket {
-				if ci > 0 {
-					if err := a.restore(&a.ckpt, enf); err != nil {
-						return nil, err
-					}
-				}
-				r, err := a.h.executeTail(a.car, p.Scenarios[idx], enf, &a.inj)
-				if err != nil {
-					return nil, err
-				}
-				out[i].Summary.Add(r)
-			}
-		}
-	}
-	return out, nil
 }
 
 // RunMatrix executes every scenario under every requested regime on the
 // pooled vehicle: Harness.RunMatrix without the per-cell reconstruction.
 func (a *Arena) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matrix, error) {
 	return runMatrix(scenarios, regimes, a.Run)
-}
-
-// RunSummaries is the pooled counterpart of Harness.RunSummaries: the full
-// scenario×regime sweep reduced to per-regime aggregates, with neither the
-// per-cell reconstruction nor the raw-result collection. The fleet engine
-// runs every scenario group of a vehicle visit through this path, reusing
-// the same warm arena across campaign-family boundaries.
-func (a *Arena) RunSummaries(scenarios []Scenario, regimes ...Enforcement) ([]RegimeSummary, error) {
-	return runSummaries(scenarios, regimes, a.Run)
 }

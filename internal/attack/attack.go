@@ -169,10 +169,10 @@ type Scenario struct {
 	// measurement for sweep throughput.
 	SkipProbe bool
 	// PrefixKey groups scenarios that share an identical pre-attack prefix
-	// (same Setup func, or none): PlanBatches buckets equal non-zero keys so
-	// the arena replays the prefix once per regime and forks every bucketed
-	// cell from a checkpoint. Zero (the default) opts the scenario out of
-	// prefix sharing; it always runs standalone.
+	// (same Setup func, or none): PlanBatches buckets equal non-zero keys,
+	// and a cell-major fleet sweep hands each bucket to one worker as a
+	// unit. Zero (the default) opts the scenario out of grouping; it forms
+	// a bucket of its own.
 	PrefixKey uint64
 	// Succeeded inspects post-attack state: true means the attack achieved
 	// its effect.
@@ -410,36 +410,15 @@ func stripFilters(c *car.Car, enf Enforcement) {
 // measurement and the functional probe. Shared by the fresh-car path (Run,
 // nil pool) and the pooled path (Arena.Run, the arena's burst pool).
 //
-// It is split into runSetup (the checkpointable prefix) and executeTail (the
-// per-cell remainder) so the arena's batched path can replay a shared prefix
-// once and fork each cell from a snapshot; this composed form is the oracle
-// the batched path must match byte-for-byte.
+// Scenario preparation happens in Normal mode with enforcement already in
+// place: legitimate setup actions must pass the policy.
 func (h *Harness) execute(c *car.Car, sc Scenario, enf Enforcement, pool *injectPool) (Result, error) {
-	if err := h.runSetup(c, sc); err != nil {
-		return Result{}, err
-	}
-	return h.executeTail(c, sc, enf, pool)
-}
-
-// runSetup runs the scenario's preparation phase and drains the scheduler,
-// leaving the car quiescent — the instant the arena checkpoints. Scenario
-// preparation happens in Normal mode with enforcement already in place:
-// legitimate setup actions must pass the policy.
-func (h *Harness) runSetup(c *car.Car, sc Scenario) error {
 	if sc.Setup != nil {
 		if err := sc.Setup(c); err != nil {
-			return fmt.Errorf("attack: setup for %s: %w", sc.ThreatID, err)
+			return Result{}, fmt.Errorf("attack: setup for %s: %w", sc.ThreatID, err)
 		}
 		c.Scheduler().Run()
 	}
-	return nil
-}
-
-// executeTail runs everything after the checkpointable prefix: mode switch,
-// attacker placement, injection, measurement and the functional probe. The
-// pool reset lives here (not in execute) so a checkpoint-forked cell recycles
-// its bursts exactly like a reset one; runSetup never touches the pool.
-func (h *Harness) executeTail(c *car.Car, sc Scenario, enf Enforcement, pool *injectPool) (Result, error) {
 	if pool != nil {
 		pool.reset()
 	}

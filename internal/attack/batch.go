@@ -1,35 +1,27 @@
 package attack
 
-// This file implements the planning half of prefix-checkpointed batching:
-// grouping a scenario set's cells into buckets that share an identical
-// pre-attack prefix, so Arena.RunSummariesBatched can replay each prefix once
-// per enforcement regime and fork the bucket's cells from a checkpoint.
+// This file implements prefix grouping: bucketing a scenario set's cells by
+// the pre-attack prefix they share, so a cell-major fleet sweep can hand
+// each bucket to one worker as a unit of work. Every cell still runs through
+// Arena.Run (reset, regime provisioning, setup replay, tail); the grouping
+// only decides which cells travel together.
 //
 // Bucketing is grouping, not reordering of work the caller can observe: the
-// batched executor only produces per-regime aggregates, every fold into them
-// (Summary.Add) is a commutative integer add, and each forked cell's Result
-// equals its cold-run Result, so bucket-major execution is invisible in the
-// output. That is what lets the planner bucket scenarios whose shared-prefix
-// siblings ended up scattered by the campaign compiler's sample shuffle.
+// sweep only produces per-regime aggregates and every fold into them
+// (Summary.Add) is a commutative integer add, so bucket-major execution is
+// invisible in the output. That is what lets the planner bucket scenarios
+// whose shared-prefix siblings ended up scattered by the campaign compiler's
+// sample shuffle.
 
-// BatchPlan is one scenario group's cells organised for prefix-checkpointed
-// execution: the scenarios and regimes of a plain RunSummaries call, plus the
-// prefix buckets PlanBatches derived from the scenarios' PrefixKeys. Plans
-// are immutable after construction and hold no vehicle state, so one plan is
-// shared by every worker (and every vehicle) of a fleet sweep.
+// BatchPlan is one scenario group's scenarios organised into the prefix
+// buckets PlanBatches derived from their PrefixKeys. Plans are immutable
+// after construction and hold no vehicle state, so one plan is shared by
+// every worker of a fleet sweep.
 type BatchPlan struct {
-	// Scenarios is the scenario set, in the caller's order.
-	Scenarios []Scenario
-	// Regimes is the enforcement sweep, in the caller's order.
-	Regimes []Enforcement
-
 	// buckets holds scenario indices grouped by PrefixKey, buckets in
 	// first-appearance order and indices in scenario order within each.
 	buckets [][]int
 }
-
-// Cells returns the total number of scenario×regime cells the plan covers.
-func (p *BatchPlan) Cells() int { return len(p.Scenarios) * len(p.Regimes) }
 
 // Buckets returns the number of prefix buckets in the plan.
 func (p *BatchPlan) Buckets() int { return len(p.buckets) }
@@ -38,25 +30,13 @@ func (p *BatchPlan) Buckets() int { return len(p.buckets) }
 // slice is the plan's own and must not be modified.
 func (p *BatchPlan) Bucket(bi int) []int { return p.buckets[bi] }
 
-// SharedCells returns the number of cells that fork from a checkpoint
-// instead of paying a full reset — the quantity sweep throughput scales with.
-func (p *BatchPlan) SharedCells() int {
-	n := 0
-	for _, b := range p.buckets {
-		if len(b) > 1 {
-			n += (len(b) - 1) * len(p.Regimes)
-		}
-	}
-	return n
-}
-
-// PlanBatches buckets scenarios by PrefixKey for Arena.RunSummariesBatched.
-// Scenarios with equal non-zero keys share a bucket (they promise an
-// identical prefix: same Setup func or none); a zero key opts a scenario out
-// of sharing and yields a singleton bucket. Buckets keep first-appearance
-// order and scenario order within, so planning is deterministic.
-func PlanBatches(scenarios []Scenario, regimes ...Enforcement) *BatchPlan {
-	p := &BatchPlan{Scenarios: scenarios, Regimes: regimes}
+// PlanBatches buckets scenarios by PrefixKey. Scenarios with equal non-zero
+// keys share a bucket (they promise an identical prefix: same Setup func or
+// none); a zero key opts a scenario out of grouping and yields a singleton
+// bucket. Buckets keep first-appearance order and scenario order within, so
+// planning is deterministic.
+func PlanBatches(scenarios []Scenario) *BatchPlan {
+	p := &BatchPlan{}
 	index := make(map[uint64]int, len(scenarios))
 	for i := range scenarios {
 		key := scenarios[i].PrefixKey

@@ -165,15 +165,6 @@ func (h *Harness) RunMatrix(scenarios []Scenario, regimes ...Enforcement) (Matri
 	return runMatrix(scenarios, regimes, h.Run)
 }
 
-// RunSummaries executes every scenario under every requested regime like
-// RunMatrix, but keeps only the per-regime aggregates — the shape the fleet
-// engine consumes. Skipping the raw Results slice matters at fleet scale: a
-// campaign sweep discards per-cell results immediately after aggregation, so
-// collecting them was pure allocation on the hottest loop.
-func (h *Harness) RunSummaries(scenarios []Scenario, regimes ...Enforcement) ([]RegimeSummary, error) {
-	return runSummaries(scenarios, regimes, h.Run)
-}
-
 // runMatrix is the shared matrix sweep: scenario-major, regime-minor, with
 // per-regime aggregation in sweep order. Both the fresh-car path
 // (Harness.RunMatrix) and the pooled path (Arena.RunMatrix) delegate here,
@@ -197,24 +188,4 @@ func runMatrix(scenarios []Scenario, regimes []Enforcement, run func(Scenario, E
 		}
 	}
 	return m, nil
-}
-
-// runSummaries is runMatrix without the raw-result collection: identical
-// cell order (scenario-major, regime-minor), identical aggregation, shared
-// by the fresh and pooled summary paths.
-func runSummaries(scenarios []Scenario, regimes []Enforcement, run func(Scenario, Enforcement) (Result, error)) ([]RegimeSummary, error) {
-	out := make([]RegimeSummary, len(regimes))
-	for i, enf := range regimes {
-		out[i].Regime = enf
-	}
-	for _, sc := range scenarios {
-		for i, enf := range regimes {
-			r, err := run(sc, enf)
-			if err != nil {
-				return nil, err
-			}
-			out[i].Summary.Add(r)
-		}
-	}
-	return out, nil
 }

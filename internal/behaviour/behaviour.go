@@ -333,75 +333,6 @@ func (e *Engine) Reset() {
 	}
 }
 
-// windowSnapshottable is implemented by rules whose per-run state is a
-// window of grant timestamps (RateLimit); Engine.Snapshot captures it and
-// Engine.RestoreFrom rewinds it.
-type windowSnapshottable interface {
-	snapshotWindow(dst []time.Duration) []time.Duration
-	restoreWindow(src []time.Duration)
-}
-
-// snapshotWindow implements windowSnapshottable: it copies the current grant
-// window into dst's storage (reused across captures).
-func (r *RateLimit) snapshotWindow(dst []time.Duration) []time.Duration {
-	if !r.single {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
-	return append(dst[:0], r.grants...)
-}
-
-// restoreWindow implements windowSnapshottable.
-func (r *RateLimit) restoreWindow(src []time.Duration) {
-	if !r.single {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-	}
-	r.grants = append(r.grants[:0], src...)
-}
-
-// Snapshot captures an engine's mutable state — counters, per-rule veto
-// counts and every stateful rule's window — for the attack arena's prefix
-// checkpointing. The rule list itself is not captured: rules are never added
-// or removed inside a checkpoint window.
-type Snapshot struct {
-	stats       Stats
-	ruleBlocked []uint64
-	windows     [][]time.Duration // index-aligned with rules; nil for stateless rules
-}
-
-// Snapshot captures the engine's state into dst, reusing dst's buffers.
-func (e *Engine) Snapshot(dst *Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	dst.stats = e.stats
-	dst.ruleBlocked = append(dst.ruleBlocked[:0], e.ruleBlocked...)
-	if cap(dst.windows) < len(e.rules) {
-		dst.windows = append(dst.windows, make([][]time.Duration, len(e.rules)-len(dst.windows))...)
-	}
-	dst.windows = dst.windows[:len(e.rules)]
-	for i, r := range e.rules {
-		if ws, ok := r.(windowSnapshottable); ok {
-			dst.windows[i] = ws.snapshotWindow(dst.windows[i])
-		}
-	}
-}
-
-// RestoreFrom rewinds the engine to a state captured by Snapshot. A restored
-// engine decides and counts byte-identically to one that replayed the
-// captured prefix after a Reset.
-func (e *Engine) RestoreFrom(src *Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.stats = src.stats
-	copy(e.ruleBlocked, src.ruleBlocked)
-	for i, r := range e.rules {
-		if ws, ok := r.(windowSnapshottable); ok {
-			ws.restoreWindow(src.windows[i])
-		}
-	}
-}
-
 // Stats returns a snapshot of the counters. RuleBlocked carries an entry for
 // every rule that vetoed at least one frame.
 func (e *Engine) Stats() Stats {

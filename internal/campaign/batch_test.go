@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestSweepBatchedMatchesOracle is the acceptance gate of the batched
-// executor: the default path (prefix-checkpointed batching + cell-major
-// fleet scaling) must render a CampaignReport byte-identical to the
-// cell-by-cell oracle (NoBatch) at several worker counts, pooled and fresh,
+// TestSweepBatchedMatchesOracle is the acceptance gate of the cell-major
+// sweep: the default path (prefix-grouped cells run once, scaled to the
+// fleet) must render a CampaignReport byte-identical to the vehicle-major
+// reference (NoBatch) at several worker counts, pooled and fresh,
 // with and without live-phase error injection (the one knob that makes the
 // live phase run per vehicle).
 func TestSweepBatchedMatchesOracle(t *testing.T) {

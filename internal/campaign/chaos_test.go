@@ -14,7 +14,7 @@ import (
 // fault kind armed at rates high enough that a 6-vehicle sweep of the
 // determinism campaign reliably hits each class.
 func chaosPlan() *chaos.Plan {
-	return &chaos.Plan{Seed: 77, Panic: 0.03, Corrupt: 0.03, Deadline: 0.02, Crash: 0.01}
+	return &chaos.Plan{Seed: 77, Panic: 0.03, Deadline: 0.02, Crash: 0.01}
 }
 
 // stripHealth drops the health line so the payload halves of two reports can
@@ -66,20 +66,18 @@ func TestChaosSweepPayloadMatchesFaultFree(t *testing.T) {
 }
 
 // TestChaosHealthDeterministicAcrossWorkers: the full report — health line
-// included — must not change with the worker count, within each pooling
-// mode. (Pooled and fresh ledgers may legitimately differ: checkpoint
-// corruption only exists on the pooled batched path.)
+// included — must not change with the worker count or the pooling mode:
+// every fault kind lands the same way on pooled arenas and fresh cars.
 func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 	plan := determinismPlan(t)
+	base, err := Sweep(plan, SweepConfig{
+		Fleet: 6, Workers: 1, RootSeed: 1234, Chaos: chaosPlan(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, fresh := range []bool{false, true} {
-		base, err := Sweep(plan, SweepConfig{
-			Fleet: 6, Workers: 1, RootSeed: 1234,
-			FreshVehicles: fresh, Chaos: chaosPlan(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range []int{4, runtime.GOMAXPROCS(0)} {
+		for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 			rep, err := Sweep(plan, SweepConfig{
 				Fleet: 6, Workers: w, RootSeed: 1234,
 				FreshVehicles: fresh, Chaos: chaosPlan(),
@@ -88,18 +86,18 @@ func TestChaosHealthDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("fresh=%v workers=%d: %v", fresh, w, err)
 			}
 			if rep.String() != base.String() {
-				t.Errorf("fresh=%v: report (health included) differs between workers=1 and workers=%d\n--- w=1\n%s--- w=%d\n%s",
-					fresh, w, base, w, rep)
+				t.Errorf("report (health included) differs between pooled workers=1 and fresh=%v workers=%d\n--- base\n%s--- fresh=%v w=%d\n%s",
+					fresh, w, base, fresh, w, rep)
 			}
 		}
 	}
 }
 
-// TestChaosDemotionFallsBackToOracle: faults that outlive the batched retry
-// budget (persist = MaxRetries+1) demote their cells to the oracle path,
-// which clears them — the sweep completes with demotions booked and the
-// payload still byte-identical to the fault-free run.
-func TestChaosDemotionFallsBackToOracle(t *testing.T) {
+// TestChaosPersistentFaultsRecoverWithinBudget: faults that outlive
+// MaxRetries attempts (persist = MaxRetries+1) still clear inside a cell's
+// attempt budget of 2*MaxRetries+1 retries — the sweep completes with the
+// retries booked and the payload byte-identical to the fault-free run.
+func TestChaosPersistentFaultsRecoverWithinBudget(t *testing.T) {
 	plan := determinismPlan(t)
 	const retries = 2
 	clean, err := Sweep(plan, SweepConfig{Fleet: 4, Workers: 1, RootSeed: 99})
@@ -111,21 +109,21 @@ func TestChaosDemotionFallsBackToOracle(t *testing.T) {
 		Chaos: &chaos.Plan{Seed: 5, Panic: 0.02, Persist: retries + 1},
 	})
 	if err != nil {
-		t.Fatalf("demotion sweep failed — oracle fallback did not clear persistent faults: %v", err)
+		t.Fatalf("persistent faults did not clear within the attempt budget: %v", err)
 	}
-	if rep.Health.CellDemotions == 0 || rep.Health.VehicleDemotions == 0 {
-		t.Fatalf("no demotions booked: %+v", rep.Health)
+	if rep.Health.PanicRecoveries == 0 || rep.Health.Retries < rep.Health.PanicRecoveries {
+		t.Fatalf("no persistent panics booked: %+v", rep.Health)
 	}
 	if rep.Health.Unrecoverable != 0 {
-		t.Fatalf("demoted cells reported unrecoverable: %+v", rep.Health)
+		t.Fatalf("recovered cells reported unrecoverable: %+v", rep.Health)
 	}
 	if got := stripHealth(rep.String()); got != stripHealth(clean.String()) {
-		t.Errorf("payload diverged through demotion:\n--- fault-free\n%s\n--- demoted\n%s", clean, got)
+		t.Errorf("payload diverged through retries:\n--- fault-free\n%s\n--- recovered\n%s", clean, got)
 	}
 }
 
 // TestChaosUnrecoverableReturnsPartialReport: a fault that persists through
-// every rung (batched retries, oracle demotion, oracle retries) fails the
+// every attempt of the cell's budget fails the
 // sweep — but the error arrives alongside a partial report whose Health
 // ledger records the unrecoverable cells.
 func TestChaosUnrecoverableReturnsPartialReport(t *testing.T) {
@@ -148,32 +146,5 @@ func TestChaosUnrecoverableReturnsPartialReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "unrecoverable=") {
 		t.Errorf("partial report renders no health line:\n%s", rep)
-	}
-}
-
-// TestVerifySampleCleanRun: full-rate inline verification on a healthy sweep
-// samples every forked cell, finds zero mismatches, and leaves the payload
-// byte-identical to the unsampled run.
-func TestVerifySampleCleanRun(t *testing.T) {
-	plan := determinismPlan(t)
-	clean, err := Sweep(plan, SweepConfig{Fleet: 4, Workers: 1, RootSeed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Sweep(plan, SweepConfig{Fleet: 4, Workers: 2, RootSeed: 42, VerifySample: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Health.VerifySamples == 0 {
-		t.Fatal("verify-sample 1.0 sampled nothing")
-	}
-	if rep.Health.VerifyMismatches != 0 {
-		t.Fatalf("healthy batched path diverged from its oracle: %+v", rep.Health)
-	}
-	if !rep.HealthEnabled {
-		t.Error("verify sampling did not arm the health section")
-	}
-	if got := stripHealth(rep.String()); got != stripHealth(clean.String()) {
-		t.Errorf("verified payload diverged:\n--- clean\n%s\n--- verified\n%s", clean, got)
 	}
 }

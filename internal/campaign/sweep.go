@@ -30,16 +30,14 @@ type SweepConfig struct {
 	TrafficHorizon time.Duration
 	// ErrorRate enables bus error injection in the live phase.
 	ErrorRate float64
-	// NoBatch selects the engine's cell-by-cell oracle executor instead of
-	// the default batched one (prefix checkpointing + cell-major fleet
-	// scaling); both render byte-identical reports.
+	// NoBatch selects the engine's vehicle-major reference sweep instead of
+	// the default cell-major one (each cell once, scaled to the fleet); both
+	// render byte-identical reports.
 	NoBatch bool
 	// Chaos arms the engine's deterministic fault injection (nil: none).
 	Chaos *chaos.Plan
-	// VerifySample cross-checks this fraction of batched cells against the
-	// cell-by-cell oracle inline (0: no sampling).
-	VerifySample float64
-	// MaxRetries bounds the supervisor's per-rung retry budget (default 2).
+	// MaxRetries bounds the supervisor's retry budget (default 2; see
+	// engine.Config.MaxRetries).
 	MaxRetries int
 	// PolicyBackend names the policy backend vehicles enforce with ("table",
 	// "expr", "closure"; empty = table). All backends are decision-equivalent
@@ -106,7 +104,7 @@ type CampaignReport struct {
 	Totals []attack.RegimeSummary
 	// Health is the sweep supervisor's fleet-folded containment ledger;
 	// HealthEnabled forces its line to render even when all-zero (set when
-	// chaos injection or verify sampling was armed).
+	// chaos injection was armed).
 	Health        engine.Health
 	HealthEnabled bool
 }
@@ -193,7 +191,6 @@ func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 		SkipMAC:        true,
 		NoBatch:        cfg.NoBatch,
 		Chaos:          cfg.Chaos,
-		VerifySample:   cfg.VerifySample,
 		MaxRetries:     cfg.MaxRetries,
 	}, nil
 }

@@ -171,49 +171,6 @@ func (c *Car) Reset(cfg Config) {
 	c.state = initialState()
 }
 
-// Snapshot captures the full mutable state of a quiescent car: the
-// scheduler counters, the bus state (topology counters, filters, RNG
-// position) and the vehicle-level mode and observable state. One Snapshot
-// value is reusable across captures — the attack arena holds one per
-// checkpoint and overwrites it in place.
-type Snapshot struct {
-	sched sim.SchedulerSnapshot
-	bus   canbus.BusSnapshot
-	mode  policy.Mode
-	state State
-}
-
-// Quiescent reports whether the car satisfies Snapshot's preconditions: the
-// scheduler drained and the bus idle with its pristine topology. The attack
-// arena probes it before capturing so a violated prefix contract surfaces as
-// a typed error the sweep supervisor can quarantine, not a process panic.
-func (c *Car) Quiescent() bool { return c.sched.Quiescent() && c.bus.Quiescent() }
-
-// Snapshot captures the car's state into dst for a later RestoreFrom. The
-// car must be quiescent: the scheduler drained (Scheduler().Run() returned)
-// and the bus idle with its pristine topology — the state any scenario
-// prefix leaves behind. Panics otherwise (see sim.Scheduler.Snapshot and
-// canbus.Bus.Snapshot).
-func (c *Car) Snapshot(dst *Snapshot) {
-	dst.sched = c.sched.Snapshot()
-	c.bus.Snapshot(&dst.bus)
-	dst.mode = c.mode
-	dst.state = c.state
-}
-
-// RestoreFrom rewinds the car to a state captured by Snapshot: the
-// scheduler's clock and counters, the bus's full state (post-capture nodes
-// discarded exactly as Reset discards them), the mode and the observable
-// state. A restored car continues byte-identically to one that replayed the
-// captured prefix from a fresh Reset — the equivalence the attack arena's
-// prefix checkpointing is built on and its property tests assert.
-func (c *Car) RestoreFrom(src *Snapshot) {
-	c.sched.RestoreFrom(src.sched)
-	c.bus.RestoreFrom(&src.bus)
-	c.mode = src.mode
-	c.state = src.state
-}
-
 // MustNew is New that panics on error; topology construction only fails on
 // programming errors.
 func MustNew(cfg Config) *Car {

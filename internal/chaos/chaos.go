@@ -10,8 +10,8 @@
 //
 // The package only decides; it never touches the simulation. The engine's
 // supervisor asks CellFault/CrashFault at each execution point and performs
-// the actual sabotage (panicking the cell, corrupting the restored arena,
-// reporting a deadline overrun, crashing the vehicle visit) itself, then
+// the actual sabotage (panicking the cell, reporting a deadline overrun,
+// crashing the vehicle visit) itself, then
 // recovers through its normal containment ladder. Persist bounds how many
 // consecutive attempts of one coordinate keep faulting: Persist=1 faults
 // only the first attempt (every retry succeeds — the property-test shape),
@@ -34,9 +34,6 @@ type Kind uint8
 const (
 	// KindPanic panics the cell mid-execution (a crashing worker cell).
 	KindPanic Kind = iota + 1
-	// KindCorrupt flips arena state after a checkpoint restore, so the
-	// supervisor's integrity checksum must catch it.
-	KindCorrupt
 	// KindDeadline reports the cell as having overrun its step budget.
 	KindDeadline
 	// KindCrash kills the whole vehicle visit (a simulated worker/shard
@@ -49,8 +46,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindPanic:
 		return "panic"
-	case KindCorrupt:
-		return "corrupt"
 	case KindDeadline:
 		return "deadline"
 	case KindCrash:
@@ -91,8 +86,8 @@ type Plan struct {
 	// Seed feeds every roll; two plans with different seeds fault disjoint
 	// coordinate sets even at equal rates.
 	Seed uint64
-	// Panic, Corrupt, Deadline and Crash are per-kind fault probabilities.
-	Panic, Corrupt, Deadline, Crash float64
+	// Panic, Deadline and Crash are per-kind fault probabilities.
+	Panic, Deadline, Crash float64
 	// Persist is how many consecutive attempts of one coordinate keep
 	// faulting (default 1: only the first attempt faults, every retry
 	// succeeds). Set it above the supervisor's retry budget to make a
@@ -100,12 +95,13 @@ type Plan struct {
 	Persist int
 }
 
-// Per-kind salts decorrelate the rolls of one coordinate.
+// Per-kind salts decorrelate the rolls of one coordinate. The values are
+// pinned, not enumerated: every seeded fault plan's placement depends on
+// them.
 const (
-	saltPanic uint64 = iota + 0x51
-	saltCorrupt
-	saltDeadline
-	saltCrash
+	saltPanic    uint64 = 0x51
+	saltDeadline uint64 = 0x53
+	saltCrash    uint64 = 0x54
 )
 
 // mix is one SplitMix64 finalisation step folding v into h — the same
@@ -119,9 +115,9 @@ func mix(h, v uint64) uint64 {
 }
 
 // Roll derives a deterministic uniform value in [0, 1) from a seed, a salt
-// and integer coordinates. Exported because the supervisor's verification
-// sampler shares the generator (same determinism contract, different salt
-// space).
+// and integer coordinates. Exported because other seeded decisions
+// (cmd/rollout's apply failures) share the generator: same determinism
+// contract, different salt space.
 func Roll(seed, salt uint64, coords ...int) float64 {
 	h := mix(seed, salt)
 	for _, c := range coords {
@@ -147,9 +143,6 @@ func (p *Plan) CellFault(vehicle, group, regime, scenario, attempt int) (Kind, b
 	if p.Panic > 0 && Roll(p.Seed, saltPanic, vehicle, group, regime, scenario) < p.Panic {
 		return KindPanic, true
 	}
-	if p.Corrupt > 0 && Roll(p.Seed, saltCorrupt, vehicle, group, regime, scenario) < p.Corrupt {
-		return KindCorrupt, true
-	}
 	if p.Deadline > 0 && Roll(p.Seed, saltDeadline, vehicle, group, regime, scenario) < p.Deadline {
 		return KindDeadline, true
 	}
@@ -167,11 +160,11 @@ func (p *Plan) CrashFault(vehicle, group, attempt int) bool {
 
 // Active reports whether the plan can fire at all.
 func (p *Plan) Active() bool {
-	return p != nil && (p.Panic > 0 || p.Corrupt > 0 || p.Deadline > 0 || p.Crash > 0)
+	return p != nil && (p.Panic > 0 || p.Deadline > 0 || p.Crash > 0)
 }
 
 // String renders the plan in the spec form Parse accepts (round-trip
-// stable), e.g. "seed=7,panic=0.02,corrupt=0.01,persist=2".
+// stable), e.g. "seed=7,panic=0.02,deadline=0.01,persist=2".
 func (p *Plan) String() string {
 	if p == nil {
 		return "off"
@@ -184,7 +177,6 @@ func (p *Plan) String() string {
 		}
 	}
 	rate("panic", p.Panic)
-	rate("corrupt", p.Corrupt)
 	rate("deadline", p.Deadline)
 	rate("crash", p.Crash)
 	if p.Persist > 1 {
@@ -194,7 +186,7 @@ func (p *Plan) String() string {
 }
 
 // Parse builds a Plan from its comma-separated key=value spec, the carsim
-// -chaos flag format: keys seed, panic, corrupt, deadline, crash, persist.
+// -chaos flag format: keys seed, panic, deadline, crash, persist.
 // An empty spec or "off" returns a nil plan (chaos disabled).
 func Parse(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
@@ -221,7 +213,7 @@ func Parse(s string) (*Plan, error) {
 				return nil, fmt.Errorf("chaos: bad persist %q (want integer >= 1)", val)
 			}
 			p.Persist = n
-		case "panic", "corrupt", "deadline", "crash":
+		case "panic", "deadline", "crash":
 			r, err := strconv.ParseFloat(val, 64)
 			// Negated so NaN, which compares false both ways, is rejected
 			// instead of parsing into a rate that never fires.
@@ -231,15 +223,13 @@ func Parse(s string) (*Plan, error) {
 			switch key {
 			case "panic":
 				p.Panic = r
-			case "corrupt":
-				p.Corrupt = r
 			case "deadline":
 				p.Deadline = r
 			case "crash":
 				p.Crash = r
 			}
 		default:
-			return nil, fmt.Errorf("chaos: unknown field %q (want seed, panic, corrupt, deadline, crash or persist)", key)
+			return nil, fmt.Errorf("chaos: unknown field %q (want seed, panic, deadline, crash or persist)", key)
 		}
 	}
 	return p, nil

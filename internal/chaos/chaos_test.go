@@ -11,7 +11,7 @@ import (
 // plan and the cell coordinates — the property every Health-determinism
 // guarantee upstream rests on.
 func TestCellFaultDeterministic(t *testing.T) {
-	p := &Plan{Seed: 42, Panic: 0.1, Corrupt: 0.1, Deadline: 0.1, Crash: 0.05}
+	p := &Plan{Seed: 42, Panic: 0.1, Deadline: 0.1, Crash: 0.05}
 	for v := 0; v < 50; v++ {
 		for g := 0; g < 3; g++ {
 			for s := 0; s < 4; s++ {
@@ -97,7 +97,7 @@ func TestNilPlanInert(t *testing.T) {
 func TestParseRoundTrip(t *testing.T) {
 	plans := []*Plan{
 		{Seed: 7, Panic: 0.01},
-		{Seed: 42, Panic: 0.02, Corrupt: 0.005, Deadline: 0.002, Crash: 0.001},
+		{Seed: 42, Panic: 0.02, Deadline: 0.002, Crash: 0.001},
 		{Seed: 1, Deadline: 0.5, Persist: 4},
 	}
 	for _, p := range plans {
@@ -127,6 +127,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"panic=-0.1",      // negative rate
 		"persist=0",       // persist below 1
 		"bogus=0.5",       // unknown key
+		"corrupt=0.1",     // retired key
 		"seed=zz",         // bad seed
 		"panic=0.1,,",     // empty component
 		"panic=0.1 crash", // missing separator
@@ -141,7 +142,7 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 // so a plain range check would let "panic=NaN" parse into a plan that never
 // fires; every rate must refuse NaN and ±Inf with the bad-rate error.
 func TestParseRejectsNonFiniteRates(t *testing.T) {
-	for _, key := range []string{"panic", "corrupt", "deadline", "crash"} {
+	for _, key := range []string{"panic", "deadline", "crash"} {
 		for _, val := range []string{"NaN", "+Inf", "-Inf"} {
 			t.Run(key+"_"+val, func(t *testing.T) {
 				spec := "seed=7," + key + "=" + val
@@ -193,5 +194,14 @@ func TestRollRange(t *testing.T) {
 	}
 	if Roll(9, 0x51, 1, 2, 3) == Roll(9, 0x52, 1, 2, 3) {
 		t.Error("salts collide")
+	}
+}
+
+// TestSaltsPinned: every seeded plan's fault placement derives from the
+// per-kind salts, so they are fixed values — a renumbering would silently
+// move every deadline and crash fault of a recorded chaos run.
+func TestSaltsPinned(t *testing.T) {
+	if saltPanic != 0x51 || saltDeadline != 0x53 || saltCrash != 0x54 {
+		t.Fatalf("salts = %#x/%#x/%#x, want 0x51/0x53/0x54", saltPanic, saltDeadline, saltCrash)
 	}
 }

@@ -20,7 +20,7 @@
 //
 // # Cell-major evaluation
 //
-// The default run (batched, unsupervised) is cell-major. The Table I
+// The default run (no chaos plan, no NoBatch) is cell-major. The Table I
 // attack matrix is a property of the policy, the scenario and the
 // enforcement regime, not of the vehicle: the only consumer of a vehicle
 // seed in the substrate is the bus error-injection RNG, attack cells reset
@@ -28,10 +28,10 @@
 // integer counters. So every vehicle's per-group block is the same block,
 // and a fleet's aggregate is exactly Fleet × that block. The run therefore
 //
-//   - simulates each group's cells once: the prefix-sharing buckets of
+//   - simulates each group's cells once: the prefix buckets of
 //     attack.PlanBatches are claimed off one cursor across the workers, and
-//     each bucket replays its shared pre-attack prefix once per regime and
-//     forks the remaining cells from a checkpoint;
+//     every cell of a bucket runs through attack.Arena.Run (reset, regime
+//     provisioning, setup replay, tail);
 //   - runs the live background phase and the MAC probe once when
 //     ErrorRate is zero (the live phase consumes the seed otherwise, and
 //     then runs per vehicle);
@@ -39,13 +39,12 @@
 //     counters, Health), sharing the one block, and derives the fleet's
 //     group aggregates with attack.Summary.Scale.
 //
-// The supervised run (Config.Chaos, Config.VerifySample) and the NoBatch
-// oracle stay vehicle-major: each claimed vehicle runs its live phase, then
-// every group's cells back to back on the same warm arena, so each vehicle
-// really executes the cells its faults and samples are rolled for.
-// Cell-major and oracle runs render byte-identical reports, which the
-// property tests and the CI smoke job assert; the seed-invariance premise
-// is pinned by its own test.
+// The chaos-armed run (Config.Chaos) and the NoBatch reference stay
+// vehicle-major: each claimed vehicle runs its live phase, then every
+// group's cells back to back on the same warm arena, so each vehicle really
+// executes the cells its faults are rolled for. Cell-major and NoBatch
+// runs render byte-identical reports, which the property tests and the CI
+// smoke job assert; the seed-invariance premise is pinned by its own test.
 //
 // # Determinism
 //
@@ -59,19 +58,15 @@
 // # Failure containment
 //
 // All cell execution runs under a supervisor (supervisor.go): a cell that
-// panics, fails its arena integrity checksum, overruns its virtual-time
-// budget or hits a non-quiescent capture is quarantined and retried (up to
-// Config.MaxRetries, rebuilding the pooled arena where the failure class
-// demands it); a cell that exhausts its batched retries demotes the rest of
-// the vehicle's visit (of the bucket, in a cell-major run) to the
-// cell-by-cell oracle; only a cell failing every rung makes Run return an
+// panics or overruns its virtual-time budget is quarantined and retried
+// (within a budget set by Config.MaxRetries, rebuilding the pooled arena
+// after a panic); only a cell failing every attempt makes Run return an
 // error — and even then Run returns the merged partial report alongside
 // it. Config.Chaos arms deterministic fault injection (internal/chaos) for
-// drilling these paths, and Config.VerifySample cross-checks a
-// deterministic fraction of batched cells against the oracle inline.
-// Containment history accumulates in the report's Health ledger, itself a
-// pure function of the config; a cell-major run books its cell-phase
-// events once, on the run's first vehicle. See DESIGN.md §11.
+// drilling these paths. Containment history accumulates in the report's
+// Health ledger, itself a pure function of the config; a cell-major run
+// books its cell-phase events once, on the run's first vehicle. See
+// DESIGN.md §11.
 package engine
 
 import (
@@ -119,10 +114,9 @@ type Config struct {
 	// IndexOffset shifts this run's vehicle indices into the global fleet
 	// index space: the run simulates global vehicles [IndexOffset,
 	// IndexOffset+Fleet). Seeds, VINs, and every supervision coordinate
-	// (chaos fault rolls, verify sampling) key on the global index, so a
-	// sharded sweep — N runs covering contiguous ranges — gives every
-	// vehicle exactly the trajectory the unsharded run would, whatever the
-	// shard layout. Zero (the default) is the unsharded whole-fleet run. A
+	// (chaos fault rolls) key on the global index, so a sharded sweep — N
+	// runs covering contiguous ranges — gives every vehicle exactly the
+	// trajectory the unsharded run would, whatever the shard layout. Zero (the default) is the unsharded whole-fleet run. A
 	// cell-major run simulates its cells under the seeds of its first
 	// vehicle, IndexOffset.
 	IndexOffset int
@@ -171,30 +165,22 @@ type Config struct {
 	// SkipMAC skips the per-vehicle MAC least-privilege probe (and the MAC
 	// module derivation entirely).
 	SkipMAC bool
-	// NoBatch disables the batched executor: no prefix-checkpointed scenario
-	// batching and no cell-major scaling — every vehicle runs every
-	// scenario×regime cell through the cell-by-cell oracle path. Batched
-	// (default) and oracle runs render byte-identical reports; the oracle
-	// survives as the reference the equivalence tests and the CI batched
-	// smoke job compare against.
+	// NoBatch disables the cell-major sweep: no prefix grouping and no
+	// fleet scaling — every vehicle runs every scenario×regime cell itself.
+	// Cell-major (default) and NoBatch runs render byte-identical reports;
+	// the vehicle-major run survives as the reference the fleet-scaling
+	// tests and the CI cell-major smoke job compare against.
 	NoBatch bool
 	// Chaos optionally arms deterministic fault injection: the plan decides,
 	// as a pure function of (vehicle, group, regime, scenario, attempt)
-	// coordinates, which cells panic, corrupt their checkpoint restore,
-	// overrun their deadline, or crash the whole vehicle visit. An active
-	// plan makes the run vehicle-major so every vehicle actually executes
-	// its cells. Nil means no injection (the supervisor still contains
-	// organic failures).
+	// coordinates, which cells panic or overrun their deadline, and which
+	// vehicle visits crash. An active plan makes the run vehicle-major so
+	// every vehicle actually executes its cells. Nil means no injection
+	// (the supervisor still contains organic failures).
 	Chaos *chaos.Plan
-	// VerifySample, when positive, cross-checks that deterministic fraction
-	// of batched (checkpoint-forked) cells against the cell-by-cell oracle
-	// inline. A mismatch is booked in the Health ledger, demotes the vehicle
-	// to the oracle path, and the oracle's result stands. Like Chaos, a
-	// non-zero sample rate makes the run vehicle-major.
-	VerifySample float64
-	// MaxRetries bounds the supervisor's retry budget per rung: a failing
-	// cell gets MaxRetries batched retries, then (demoted) MaxRetries oracle
-	// retries; a crashing vehicle visit gets MaxRetries re-runs. Default 2.
+	// MaxRetries bounds the supervisor's retry budget: a failing cell gets
+	// 2*MaxRetries+1 retries; a crashing vehicle visit gets MaxRetries
+	// re-runs. Default 2.
 	MaxRetries int
 	// CellTimeBudget is the virtual-clock watchdog: a cell that leaves the
 	// simulated clock past this budget is quarantined as a deadline overrun.
@@ -298,11 +284,11 @@ type shared struct {
 	macModule *mac.Module
 	probes    []macCheck // legitimate catalog writers, in catalog order
 	spoof     macCheck   // the infotainment→ECU spoof probe
-	// plans holds one prefix-bucketed batch plan per group (nil when
+	// plans holds one prefix-bucketed plan per group (nil when
 	// Config.NoBatch): plans are immutable, so all workers share them.
 	plans []*attack.BatchPlan
-	// sup is the resolved supervision configuration (chaos plan, verify
-	// sampling, retry budget, deadline budget) every worker consults.
+	// sup is the resolved supervision configuration (chaos plan, retry
+	// budget, deadline budget) every worker consults.
 	sup supervisorCfg
 }
 
@@ -323,11 +309,11 @@ func buildProbes(sh *shared) {
 }
 
 // Run executes the fleet sweep and merges per-vehicle outcomes in vehicle
-// order. The default (batched, unsupervised) run is cell-major: every cell
-// is simulated once and the fleet derived from that block. A supervised run
-// (Chaos or VerifySample) and the NoBatch oracle are vehicle-major: each
-// claimed vehicle runs its live background phase once and then every
-// group's scenario×regime cells back to back on the same warm arena.
+// order. The default run is cell-major: every cell is simulated once and
+// the fleet derived from that block. A chaos-armed run and the NoBatch
+// reference are vehicle-major: each claimed vehicle runs its live
+// background phase once and then every group's scenario×regime cells back
+// to back on the same warm arena.
 func Run(cfg Config) (*FleetReport, error) {
 	sh, err := newShared(cfg)
 	if err != nil {
@@ -337,7 +323,7 @@ func Run(cfg Config) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sh.plans != nil && !sh.sup.chaotic() {
+	if sh.plans != nil && !sh.sup.plan.Active() {
 		return sh.runCellMajor(pool)
 	}
 	return sh.runVehicleMajor(pool)
@@ -358,8 +344,6 @@ func newShared(cfg Config) (*shared, error) {
 	sh := &shared{cfg: cfg, harness: h}
 	sh.sup = supervisorCfg{
 		plan:       cfg.Chaos,
-		verify:     cfg.VerifySample,
-		verifySeed: cfg.RootSeed,
 		maxRetries: cfg.MaxRetries,
 		timeBudget: cfg.CellTimeBudget,
 	}
@@ -372,8 +356,7 @@ func newShared(cfg Config) (*shared, error) {
 	if !cfg.NoBatch {
 		sh.plans = make([]*attack.BatchPlan, len(cfg.Groups))
 		for gi := range cfg.Groups {
-			g := &cfg.Groups[gi]
-			sh.plans[gi] = attack.PlanBatches(g.Scenarios, g.Regimes...)
+			sh.plans[gi] = attack.PlanBatches(cfg.Groups[gi].Scenarios)
 		}
 	}
 	if !cfg.SkipMAC {
@@ -426,13 +409,8 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 	cellErr := pool.each(len(units), func(ar *arena, k int) error {
 		u := units[k]
 		g := &cfg.Groups[u.group]
-		var demoted bool
-		e := sh.newCellExec(ar, &healths[k], cfg.IndexOffset, u.group, &demoted)
-		if ar != nil {
-			e.br = ar.att.NewBucketRun(sh.plans[u.group], u.bucket)
-		} else {
-			e.cells = sh.plans[u.group].Bucket(u.bucket)
-		}
+		e := sh.newCellExec(ar, &healths[k], cfg.IndexOffset, u.group)
+		e.cells = sh.plans[u.group].Bucket(u.bucket)
 		var err error
 		if sums[k], err = runGroupCells(e, g); err != nil {
 			return fmt.Errorf("group %d (%q): %w", u.group, g.Name, err)
@@ -454,7 +432,7 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 		cellHealth.Merge(healths[k])
 	}
 
-	tmpl := VehicleReport{Groups: block, Attacks: foldGroups(block)}
+	tmpl := VehicleReport{Groups: block}
 	perVehicleLive := !cfg.SkipLive && cfg.ErrorRate != 0
 	var onceErr error
 	if !cfg.SkipLive && !perVehicleLive {
@@ -490,7 +468,7 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 	return merge(*cfg, reports), errors.Join(cellErr, onceErr, vehErr)
 }
 
-// runVehicleMajor is the supervised and oracle sweep: every vehicle visit
+// runVehicleMajor is the chaos-armed and NoBatch sweep: every vehicle visit
 // runs all of its cells itself, so chaos faults land on the vehicles they
 // are rolled for and the Health ledger counts what each vehicle executed.
 func (sh *shared) runVehicleMajor(pool *workerPool) (*FleetReport, error) {
@@ -658,38 +636,31 @@ func (sh *shared) visit(ar *arena, index, attempt int, h *Health) (rep VehicleRe
 	}
 
 	// Every group's scenario×regime block, reseeded per group so each block
-	// is a pure function of (group root, index), every cell supervised. The
-	// demotion latch spans the visit: once any cell falls back to the
-	// oracle, the rest of the vehicle follows.
+	// is a pure function of (group root, index), every cell supervised.
 	rep.Groups = make([][]attack.RegimeSummary, len(sh.cfg.Groups))
-	var demoted bool
 	for gi := range sh.cfg.Groups {
 		g := &sh.cfg.Groups[gi]
 		if sh.sup.plan.CrashFault(index, gi, attempt) {
 			panic(&chaos.InjectedCrash{Vehicle: index, Group: gi, Attempt: attempt})
 		}
-		e := sh.newCellExec(ar, h, index, gi, &demoted)
-		if ar != nil && sh.plans != nil {
-			e.br = ar.att.NewBatchRun(sh.plans[gi])
-		}
+		e := sh.newCellExec(ar, h, index, gi)
 		sums, gerr := runGroupCells(e, g)
 		rep.Groups[gi] = sums
 		if gerr != nil {
 			return rep, fmt.Errorf("group %d (%q): %w", gi, g.Name, gerr)
 		}
 	}
-	rep.Attacks = foldGroups(rep.Groups)
 	return rep, nil
 }
 
 // newCellExec prepares supervision of group gi's cells for vehicle index:
 // on the worker's arena, reseeded with the vehicle's group seed, or on
-// fresh cars when ar is nil. The caller picks the batched cursor, if any.
-func (sh *shared) newCellExec(ar *arena, h *Health, index, gi int, demoted *bool) *cellExec {
+// fresh cars when ar is nil. The caller narrows the cells, if at all.
+func (sh *shared) newCellExec(ar *arena, h *Health, index, gi int) *cellExec {
 	seed := VehicleSeed(sh.cfg.Groups[gi].RootSeed, index)
 	e := &cellExec{
 		sup: &sh.sup, health: h, sh: sh,
-		vehicle: index, group: gi, seed: seed, demoted: demoted,
+		vehicle: index, group: gi, seed: seed,
 	}
 	if ar != nil {
 		ar.att.SetSeed(seed)

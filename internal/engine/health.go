@@ -6,28 +6,21 @@ import (
 )
 
 // Health is the sweep supervisor's containment ledger: every quarantine,
-// retry, demotion and verification event of a run, folded per vehicle and
-// then fleet-wide. The ledger is deterministic — faults are injected (or
-// occur) as a pure function of per-vehicle coordinates and the whole retry
-// history of a vehicle is independent of which worker ran it — so the
-// rendered section is byte-stable across worker counts and pooling modes,
-// which is what lets CI diff the Health output of a seeded chaos run.
+// retry and recovery event of a run, folded per vehicle and then
+// fleet-wide. The ledger is deterministic — faults are injected (or occur)
+// as a pure function of per-vehicle coordinates and the whole retry history
+// of a vehicle is independent of which worker ran it — so the rendered
+// section is byte-stable across worker counts and pooling modes, which is
+// what lets CI diff the Health output of a seeded chaos run.
 type Health struct {
 	// Quarantines counts failed cell attempts converted into quarantine
-	// records (the sum of the four failure classes below, minus crash
-	// recoveries, which are vehicle-scope).
+	// records (crash recoveries, which are vehicle-scope, are not counted).
 	Quarantines int
 	// PanicRecoveries counts cell panics recovered by the supervisor.
 	PanicRecoveries int
-	// IntegrityFailures counts checkpoint restores whose arena checksum
-	// diverged from the capture.
-	IntegrityFailures int
 	// DeadlineOverruns counts cells that exceeded the virtual-time budget
 	// (or had an overrun injected).
 	DeadlineOverruns int
-	// NotQuiescent counts checkpoint captures refused because the arena was
-	// not quiescent.
-	NotQuiescent int
 	// CrashRecoveries counts whole-vehicle visits recovered after a
 	// simulated worker/shard crash.
 	CrashRecoveries int
@@ -39,20 +32,8 @@ type Health struct {
 	// on wall clocks, but the schedule a production shard supervisor would
 	// sleep is part of the evidence.
 	Backoff time.Duration
-	// CellDemotions counts cells demoted from the batched path to the
-	// cell-by-cell oracle after exhausting batched retries.
-	CellDemotions int
-	// VehicleDemotions counts vehicles whose remaining cells were demoted
-	// wholesale (monotone: a vehicle demotes at most once and never
-	// returns to the batched path).
-	VehicleDemotions int
-	// VerifySamples counts batched cells cross-checked inline against the
-	// oracle; VerifyMismatches counts the cross-checks that diverged.
-	VerifySamples    int
-	VerifyMismatches int
 	// Unrecoverable counts cells (or vehicles) that kept failing through
-	// every retry and the oracle demotion — the only failures that still
-	// surface as a sweep error.
+	// every retry — the only failures that still surface as a sweep error.
 	Unrecoverable int
 }
 
@@ -61,16 +42,10 @@ type Health struct {
 func (h *Health) Merge(o Health) {
 	h.Quarantines += o.Quarantines
 	h.PanicRecoveries += o.PanicRecoveries
-	h.IntegrityFailures += o.IntegrityFailures
 	h.DeadlineOverruns += o.DeadlineOverruns
-	h.NotQuiescent += o.NotQuiescent
 	h.CrashRecoveries += o.CrashRecoveries
 	h.Retries += o.Retries
 	h.Backoff += o.Backoff
-	h.CellDemotions += o.CellDemotions
-	h.VehicleDemotions += o.VehicleDemotions
-	h.VerifySamples += o.VerifySamples
-	h.VerifyMismatches += o.VerifyMismatches
 	h.Unrecoverable += o.Unrecoverable
 }
 
@@ -81,8 +56,7 @@ func (h Health) IsZero() bool { return h == Health{} }
 
 // String renders the ledger as one deterministic line.
 func (h Health) String() string {
-	return fmt.Sprintf("quarantines=%d (panic=%d integrity=%d deadline=%d notquiescent=%d) crashes=%d retries=%d backoff=%s demoted-cells=%d demoted-vehicles=%d verified=%d mismatches=%d unrecoverable=%d",
-		h.Quarantines, h.PanicRecoveries, h.IntegrityFailures, h.DeadlineOverruns, h.NotQuiescent,
-		h.CrashRecoveries, h.Retries, h.Backoff, h.CellDemotions, h.VehicleDemotions,
-		h.VerifySamples, h.VerifyMismatches, h.Unrecoverable)
+	return fmt.Sprintf("quarantines=%d (panic=%d deadline=%d) crashes=%d retries=%d backoff=%s unrecoverable=%d",
+		h.Quarantines, h.PanicRecoveries, h.DeadlineOverruns,
+		h.CrashRecoveries, h.Retries, h.Backoff, h.Unrecoverable)
 }

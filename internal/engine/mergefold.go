@@ -66,7 +66,7 @@ func newMergeFold(cfg Config) *MergeFold {
 			fr.Groups[gi].Regimes[ri].Regime = enf
 		}
 	}
-	fr.HealthEnabled = cfg.Chaos.Active() || cfg.VerifySample > 0
+	fr.HealthEnabled = cfg.Chaos.Active()
 	return &MergeFold{cfg: cfg, fr: fr}
 }
 

@@ -18,7 +18,7 @@ import (
 // float summation order, same group folds, same health ledger).
 func TestMergeFoldMatchesMerge(t *testing.T) {
 	cfg := quickConfig(7, 3)
-	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}
+	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Deadline: 0.1}
 	fr, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRunScaledFoldMatchesPerVehicleFold(t *testing.T) {
 		shared bool // every vehicle's Groups is one backing array
 	}{
 		{"cell-major", nil, true},
-		{"vehicle-major-chaos", &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}, false},
+		{"vehicle-major-chaos", &chaos.Plan{Seed: 7, Panic: 0.2, Deadline: 0.1}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := groupConfig(testGroups(), 3, false)

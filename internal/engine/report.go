@@ -16,15 +16,11 @@ type VehicleReport struct {
 	// Seed is the vehicle's derived simulation seed (the first group's, when
 	// the run sweeps multiple scenario groups).
 	Seed uint64
-	// Attacks holds one aggregate per enforcement regime, keyed by first
-	// appearance across the vehicle's scenario groups. For the legacy
-	// single-group run this is exactly the group's sweep-order aggregates.
-	//
-	// Attacks and Groups are read-only: in a cell-major run every vehicle
-	// report points at the same shared block.
-	Attacks []attack.RegimeSummary
 	// Groups holds one regime-summary block per scenario group, in group
 	// order — the per-vehicle slice the campaign executor folds from.
+	//
+	// Groups is read-only: in a cell-major run every vehicle report points
+	// at the same shared block.
 	Groups [][]attack.RegimeSummary
 	// FramesDelivered, BusErrors, WriteBlocked, ReadBlocked and AbortedTx
 	// are the background simulation's bus counters.
@@ -40,10 +36,9 @@ type VehicleReport struct {
 	// MACChecks and MACAllowed count the least-privilege probe outcomes.
 	MACChecks  int
 	MACAllowed int
-	// Health is the vehicle's containment ledger: every quarantine, retry,
-	// demotion and verification event of the supervised visit. A cell-major
-	// run books its cell-phase events on its first vehicle; the others
-	// carry none.
+	// Health is the vehicle's containment ledger: every quarantine, retry
+	// and recovery event of the supervised visit. A cell-major run books
+	// its cell-phase events on its first vehicle; the others carry none.
 	Health Health
 }
 
@@ -85,9 +80,9 @@ type FleetReport struct {
 	MACChecks  int
 	MACAllowed int
 	// Health folds every vehicle's containment ledger; HealthEnabled records
-	// whether supervision was explicitly armed (chaos injection or verify
-	// sampling), which forces the health line to render even when the ledger
-	// is all zeros — a chaos run that contained nothing should say so.
+	// whether chaos injection was explicitly armed, which forces the health
+	// line to render even when the ledger is all zeros — a chaos run that
+	// contained nothing should say so.
 	Health        Health
 	HealthEnabled bool
 }
@@ -109,11 +104,18 @@ func (r *FleetReport) String() string {
 		fmt.Fprintf(&b, "attacks[%s]: %s success=%.1f%% blocked=%.1f%%\n",
 			rs.Regime, rs.Summary, rs.Summary.SuccessRate()*100, rs.Summary.BlockRate()*100)
 	}
+	// Each vehicle's line folds its groups per regime; vehicles sharing one
+	// block (every vehicle of a cell-major run) reuse one fold.
+	var block [][]attack.RegimeSummary
+	var attacks []attack.RegimeSummary
 	for i := range r.Vehicles {
 		v := &r.Vehicles[i]
 		fmt.Fprintf(&b, "  %s seed=%#016x delivered=%-5d util=%.4f%% steps=%-6d",
 			v.VIN, v.Seed, v.FramesDelivered, v.Utilisation*100, v.SchedulerSteps)
-		for _, rs := range v.Attacks {
+		if !sameBlock(v.Groups, block) {
+			block, attacks = v.Groups, foldGroups(v.Groups)
+		}
+		for _, rs := range attacks {
 			fmt.Fprintf(&b, " %s{succ=%d blk=%d}", rs.Regime, rs.Summary.Succeeded, rs.Summary.Blocked)
 		}
 		b.WriteByte('\n')

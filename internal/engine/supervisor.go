@@ -13,28 +13,25 @@ import (
 // vehicle visit — and the visit itself — executes behind a containment
 // ladder instead of aborting the fleet on first failure.
 //
-// The ladder, per cell: a failed attempt (panic, integrity mismatch,
-// deadline overrun, quiescence violation, or an injected chaos fault) is
-// quarantined and retried up to MaxRetries times on the batched path, each
-// retry on a rebuilt or re-primed arena with a capped virtual backoff
-// recorded. Exhausting the batched retries demotes the cell — and,
-// monotonically, the vehicle's remaining cells — to the cell-by-cell oracle
-// (the NoBatch reference executor), which gets its own MaxRetries budget.
-// Only a cell that keeps failing through all of that is unrecoverable: the
-// vehicle reports a partial result and the sweep returns an error alongside
-// the partial fleet report. Per visit: a panic escaping cell scope (or an
-// injected crash fault) abandons the visit, the worker rebuilds its arena,
-// and the whole vehicle re-runs up to MaxRetries times.
+// The ladder, per cell: a failed attempt (panic, deadline overrun, or an
+// injected chaos fault) is quarantined and retried, up to 2*MaxRetries+1
+// times, each retry recording a capped virtual backoff; a panic first
+// rebuilds the pooled arena. Only a cell that keeps failing through all of
+// that is unrecoverable: the vehicle reports a partial result and the
+// sweep returns an error alongside the partial fleet report. Per visit: a
+// panic escaping cell scope (or an injected crash fault) abandons the
+// visit, the worker rebuilds its arena, and the whole vehicle re-runs up to
+// MaxRetries times.
 //
 // Determinism: chaos faults are a pure function of per-vehicle coordinates,
-// retries and demotions are decided by counters local to the vehicle, and
-// the recorded backoff is virtual (never slept) — so the Health ledger, like
-// the payload report, is byte-stable across worker counts and pooling modes.
+// retries are decided by counters local to the vehicle, and the recorded
+// backoff is virtual (never slept) — so the Health ledger, like the payload
+// report, is byte-stable across worker counts and pooling modes.
 
 // Supervisor failure classes. ErrCellPanic and ErrVehicleCrash wrap
 // recovered panics at cell and visit scope; ErrCellDeadline reports a cell
 // whose tail left the virtual clock past the budget; ErrUnrecoverable marks
-// a cell that failed through every retry and demotion.
+// a cell that failed through every retry.
 var (
 	ErrCellPanic     = errors.New("engine: recovered cell panic")
 	ErrVehicleCrash  = errors.New("engine: recovered vehicle-visit crash")
@@ -48,27 +45,15 @@ const (
 
 	backoffBase = time.Millisecond
 	backoffCap  = 8 * time.Millisecond
-
-	// saltVerify keys the verification sampler's rolls, disjoint from the
-	// chaos plan's per-kind salts.
-	saltVerify uint64 = 0x7e
 )
 
 // supervisorCfg is the resolved supervision configuration every worker
 // shares.
 type supervisorCfg struct {
 	plan       *chaos.Plan
-	verify     float64
-	verifySeed uint64
 	maxRetries int
 	timeBudget time.Duration
 }
-
-// chaotic reports whether fault injection or inline verification is armed —
-// the modes that keep the sweep vehicle-major, because chaos faults and
-// verify samples are rolled per vehicle, and a cell-major run executes no
-// cells on behalf of any particular vehicle.
-func (s *supervisorCfg) chaotic() bool { return s.plan.Active() || s.verify > 0 }
 
 // backoff returns the capped virtual backoff recorded before retry n
 // (1-based): base<<(n-1), clamped to backoffCap.
@@ -85,31 +70,27 @@ func backoff(n int) time.Duration {
 
 // cellExec supervises one scenario group's cells for one vehicle (or, in a
 // cell-major run, one prefix bucket of them). Exactly one execution backend
-// is set: br for the pooled batched path, owner (with br nil) for the pooled
-// oracle path, hv for the fresh-construction path.
+// is set: owner for the pooled arena, hv for the fresh-construction path.
 type cellExec struct {
 	sup    *supervisorCfg
 	health *Health
 	sh     *shared
-	owner  *arena           // pooled vehicle stack; nil on the fresh path
-	br     *attack.BatchRun // batched cursor; nil on oracle/fresh paths
-	hv     *attack.Harness  // fresh-path harness, seed applied
-	cells  []int            // scenario indices the oracle/fresh walk covers (nil: all)
+	owner  *arena          // pooled vehicle stack; nil on the fresh path
+	hv     *attack.Harness // fresh-path harness, seed applied
+	cells  []int           // scenario indices the walk covers (nil: all)
 
 	vehicle, group int
 	seed           uint64 // the group seed, re-applied after arena rebuilds
-	demoted        *bool  // the visit's monotone demotion latch
 }
 
 // runCell executes one cell through the containment ladder and returns its
-// (possibly oracle-substituted) result, or ErrUnrecoverable once every rung
-// is exhausted.
+// result, or ErrUnrecoverable once the attempt budget is exhausted.
 func (e *cellExec) runCell(sc attack.Scenario, sci, ri int, enf attack.Enforcement) (attack.Result, error) {
 	maxAttempts := 2*e.sup.maxRetries + 1
 	for attempt := 0; ; attempt++ {
 		r, err := e.attempt(sc, sci, ri, enf, attempt)
 		if err == nil {
-			return e.maybeVerify(r, sci, ri, attempt)
+			return r, nil
 		}
 		e.classify(err)
 		if rerr := e.refresh(err); rerr != nil {
@@ -120,23 +101,9 @@ func (e *cellExec) runCell(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 			return r, fmt.Errorf("%w: vehicle %d group %d scenario %d regime %s: %v",
 				ErrUnrecoverable, e.vehicle, e.group, sci, enf, err)
 		}
-		if attempt == e.sup.maxRetries && e.br != nil && !*e.demoted {
-			// Batched retries exhausted: demote this cell — and the visit's
-			// remaining cells — to the oracle. The latch never resets, so
-			// demotion is monotone within the visit.
-			e.health.CellDemotions++
-			*e.demoted = true
-			e.health.VehicleDemotions++
-		}
 		e.health.Retries++
 		e.health.Backoff += backoff(attempt + 1)
 	}
-}
-
-// oracle reports whether the given attempt runs on the cell-by-cell
-// reference path instead of the batched one.
-func (e *cellExec) oracle(attempt int) bool {
-	return e.br == nil || *e.demoted || attempt > e.sup.maxRetries
 }
 
 // attempt executes one try of one cell, converting panics into ErrCellPanic
@@ -147,41 +114,25 @@ func (e *cellExec) attempt(sc attack.Scenario, sci, ri int, enf attack.Enforceme
 			err = fmt.Errorf("%w: %v", ErrCellPanic, p)
 		}
 	}()
-	oracle := e.oracle(attempt)
 	if k, ok := e.sup.plan.CellFault(e.vehicle, e.group, ri, sci, attempt); ok {
 		switch k {
 		case chaos.KindPanic:
 			panic(&chaos.InjectedPanic{Vehicle: e.vehicle, Group: e.group, Regime: ri, Scenario: sci, Attempt: attempt})
 		case chaos.KindDeadline:
 			return attack.Result{}, chaos.ErrDeadline
-		case chaos.KindCorrupt:
-			// Corruption can only land on a checkpoint restore; elsewhere
-			// the fault has nothing to corrupt and the attempt proceeds.
-			if !oracle && e.br.WillRestore() {
-				e.br.CorruptNextRestore()
-			}
 		}
 	}
-	switch {
-	case !oracle:
-		r, err = e.br.Run()
-	case e.br != nil:
-		r, err = e.br.RunOracle()
-	case e.owner != nil:
-		r, err = e.owner.att.Run(sc, enf)
-	default:
-		r, err = e.hv.Run(sc, enf)
+	if e.owner == nil {
+		return e.hv.Run(sc, enf)
 	}
-	if err != nil {
+	if r, err = e.owner.att.Run(sc, enf); err != nil {
 		return r, err
 	}
-	// Virtual-time watchdog (pooled paths, where the cell's car is
+	// Virtual-time watchdog (pooled path, where the cell's car is
 	// reachable): a healthy cell leaves the clock in simulated
 	// milliseconds, so a clock past the budget means a runaway tail.
-	if e.owner != nil {
-		if now := e.owner.att.Car().Scheduler().Now(); now > e.sup.timeBudget {
-			return r, fmt.Errorf("%w: clock at %s after the cell (budget %s)", ErrCellDeadline, now, e.sup.timeBudget)
-		}
+	if now := e.owner.att.Car().Scheduler().Now(); now > e.sup.timeBudget {
+		return r, fmt.Errorf("%w: clock at %s after the cell (budget %s)", ErrCellDeadline, now, e.sup.timeBudget)
 	}
 	return r, nil
 }
@@ -192,25 +143,17 @@ func (e *cellExec) classify(err error) {
 	switch {
 	case errors.Is(err, ErrCellPanic):
 		e.health.PanicRecoveries++
-	case errors.Is(err, attack.ErrIntegrity):
-		e.health.IntegrityFailures++
 	case errors.Is(err, chaos.ErrDeadline), errors.Is(err, ErrCellDeadline):
 		e.health.DeadlineOverruns++
-	case errors.Is(err, attack.ErrNotQuiescent):
-		e.health.NotQuiescent++
 	}
 }
 
-// refresh prepares the backend for the next attempt. Any failure
-// invalidates the batched checkpoint (the partial execution left the arena
-// dirty); a panic or integrity mismatch additionally rebuilds the pooled
-// attack arena outright — retrying on a stack whose invariants a panic may
-// have torn is not containment, it is hope.
+// refresh prepares the backend for the next attempt: a panic rebuilds the
+// pooled attack arena outright — retrying on a stack whose invariants a
+// panic may have torn is not containment, it is hope. Every other failure
+// retries on the same arena, which Arena.Run resets per cell anyway.
 func (e *cellExec) refresh(err error) error {
-	if e.br != nil {
-		e.br.Invalidate()
-	}
-	if e.owner == nil || (!errors.Is(err, ErrCellPanic) && !errors.Is(err, attack.ErrIntegrity)) {
+	if e.owner == nil || !errors.Is(err, ErrCellPanic) {
 		return nil
 	}
 	att, aerr := e.sh.harness.NewArena()
@@ -219,59 +162,16 @@ func (e *cellExec) refresh(err error) error {
 	}
 	att.SetSeed(e.seed)
 	e.owner.att = att
-	if e.br != nil {
-		e.br.Rebind(att)
-	}
 	return nil
 }
 
-// maybeVerify cross-checks a deterministic fraction of batched, forked
-// cells against the oracle inline. A mismatch books itself, demotes the
-// visit (monotone, like retry exhaustion) and substitutes the oracle's
-// result — the reference path wins by definition.
-func (e *cellExec) maybeVerify(r attack.Result, sci, ri, attempt int) (attack.Result, error) {
-	if e.sup.verify <= 0 || e.br == nil || e.oracle(attempt) || !e.br.Forked() {
-		return r, nil
-	}
-	if chaos.Roll(e.sup.verifySeed, saltVerify, e.vehicle, e.group, ri, sci) >= e.sup.verify {
-		return r, nil
-	}
-	e.health.VerifySamples++
-	or, err := e.br.RunOracle()
-	if err != nil {
-		return r, err
-	}
-	if or != r {
-		e.health.VerifyMismatches++
-		if !*e.demoted {
-			*e.demoted = true
-			e.health.VehicleDemotions++
-		}
-		return or, nil
-	}
-	return r, nil
-}
-
-// runGroupCells executes one group's cells (those of e.br's cursor, or
-// e.cells) under supervision and folds them into per-regime aggregates —
-// the supervised equivalent of RunSummariesBatched (batched backend) or
-// runSummaries (oracle and fresh backends), walking the identical cell order
-// so a fault-free supervised sweep folds byte-identical aggregates.
+// runGroupCells executes one group's cells (e.cells, or every scenario when
+// nil) under supervision and folds them into per-regime aggregates, walking
+// scenario-major, regime-minor.
 func runGroupCells(e *cellExec, g *ScenarioGroup) ([]attack.RegimeSummary, error) {
 	out := make([]attack.RegimeSummary, len(g.Regimes))
 	for i, enf := range g.Regimes {
 		out[i].Regime = enf
-	}
-	if e.br != nil {
-		for e.br.Next() {
-			sci, ri := e.br.Cell()
-			r, err := e.runCell(g.Scenarios[sci], sci, ri, g.Regimes[ri])
-			if err != nil {
-				return out, err
-			}
-			out[ri].Summary.Add(r)
-		}
-		return out, nil
 	}
 	n := len(g.Scenarios)
 	if e.cells != nil {

@@ -1,7 +1,6 @@
 package hpe
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/canbus"
@@ -88,45 +87,6 @@ func TestReinstallEnforcerReusesInstall(t *testing.T) {
 	}
 	if e.Backend() != "expr" {
 		t.Errorf("after swap Backend() = %q, want expr", e.Backend())
-	}
-}
-
-// TestSnapshotBackendIdentity is the fail-fast contract: a checkpoint
-// captured under one policy backend must refuse to restore onto an engine
-// running another, with the typed ErrBackendMismatch.
-func TestSnapshotBackendIdentity(t *testing.T) {
-	table := newEngine(t, "Normal")
-	table.Decide(canbus.Read, frame(0x100))
-	var snap Snapshot
-	table.Snapshot(&snap)
-	if snap.Backend() != ir.DefaultBackend {
-		t.Errorf("snapshot backend = %q, want %q", snap.Backend(), ir.DefaultBackend)
-	}
-	if err := table.RestoreFrom(&snap); err != nil {
-		t.Fatalf("same-backend restore: %v", err)
-	}
-
-	closure := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if err := closure.InstallEnforcer(buildEnforcer(t, "closure")); err != nil {
-		t.Fatal(err)
-	}
-	err := closure.RestoreFrom(&snap)
-	if !errors.Is(err, ErrBackendMismatch) {
-		t.Fatalf("cross-backend restore error = %v, want ErrBackendMismatch", err)
-	}
-
-	// The refused restore must leave the engine's state untouched.
-	if got := closure.Stats().Decisions; got != 0 {
-		t.Errorf("refused restore mutated stats: Decisions = %d", got)
-	}
-	var csnap Snapshot
-	closure.Decide(canbus.Write, frame(0x200))
-	closure.Snapshot(&csnap)
-	if csnap.Backend() != "closure" {
-		t.Errorf("closure snapshot backend = %q", csnap.Backend())
-	}
-	if err := closure.RestoreFrom(&csnap); err != nil {
-		t.Fatalf("closure same-backend restore: %v", err)
 	}
 }
 

@@ -19,7 +19,6 @@
 package hpe
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -287,69 +286,6 @@ func (e *Engine) Reset() {
 	e.lock()
 	e.stats = Stats{}
 	e.unlock()
-}
-
-// Snapshot captures an engine's mutable decision state — the statistics and
-// the single-owner resolved-table cache — for the attack arena's prefix
-// checkpointing. The installed table and its source are deliberately not
-// captured: Install/Reinstall never runs inside a checkpoint window (regime
-// provisioning happens before the capture), so they are invariant across
-// every restore, and the cache fields re-resolve against the same table.
-type Snapshot struct {
-	stats      Stats
-	backend    string
-	cacheTable *policy.NodeTable
-	cacheMode  policy.Mode
-	cacheMT    policy.ModeTable
-	cacheGen   *genInstall
-	cacheGMode policy.Mode
-	cacheMD    ir.ModeDecider
-}
-
-// Backend returns the policy backend that was active at capture time.
-func (s *Snapshot) Backend() string { return s.backend }
-
-// ErrBackendMismatch reports a checkpoint restored onto an engine running a
-// different policy backend: the captured cache state would silently mix
-// enforcement forms, so the restore fails fast instead.
-var ErrBackendMismatch = errors.New("hpe: snapshot backend mismatch")
-
-// Snapshot captures the engine's mutable state into dst.
-func (e *Engine) Snapshot(dst *Snapshot) {
-	e.lock()
-	dst.stats = e.stats
-	dst.backend = e.backend
-	e.unlock()
-	dst.cacheTable = e.cacheTable
-	dst.cacheMode = e.cacheMode
-	dst.cacheMT = e.cacheMT
-	dst.cacheGen = e.cacheGen
-	dst.cacheGMode = e.cacheGMode
-	dst.cacheMD = e.cacheMD
-}
-
-// RestoreFrom rewinds the engine to a state captured by Snapshot. A restored
-// engine decides and counts byte-identically to one that replayed the
-// captured prefix after a Reset + Reinstall. The snapshot carries the
-// identity of the backend that was active at capture time; restoring it
-// onto an engine running a different backend returns ErrBackendMismatch.
-func (e *Engine) RestoreFrom(src *Snapshot) error {
-	e.lock()
-	if e.backend != src.backend {
-		have := e.backend
-		e.unlock()
-		return fmt.Errorf("%w: engine %q runs %q, snapshot captured under %q",
-			ErrBackendMismatch, e.subject, have, src.backend)
-	}
-	e.stats = src.stats
-	e.unlock()
-	e.cacheTable = src.cacheTable
-	e.cacheMode = src.cacheMode
-	e.cacheMT = src.cacheMT
-	e.cacheGen = src.cacheGen
-	e.cacheGMode = src.cacheGMode
-	e.cacheMD = src.cacheMD
-	return nil
 }
 
 // Stats returns a snapshot of the engine counters.

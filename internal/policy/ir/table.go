@@ -40,8 +40,7 @@ type TableEnforcer struct {
 
 // WrapCompiled adapts an already-compiled table artifact (the legacy
 // policy.Compile output) into an Enforcer without re-lowering. Callers that
-// still build *policy.Compiled directly — checkpointed arenas, the policy
-// store — use this to meet Enforcer-shaped APIs.
+// still build *policy.Compiled directly use this to meet Enforcer-shaped APIs.
 func WrapCompiled(c *policy.Compiled) *TableEnforcer {
 	subs := c.Subjects()
 	idx := make(map[string]int, len(subs))

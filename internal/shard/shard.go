@@ -4,7 +4,7 @@
 //
 // The engine already guarantees that vehicle i is a pure function of
 // (config, root seed, i): seeds derive from the global index, and every
-// supervision coordinate (chaos fault rolls, verify sampling) keys on it
+// supervision coordinate (chaos fault rolls) keys on it
 // too. Sharding therefore only has to preserve the index space. A shard is
 // a contiguous range [Start, Start+Count) of global vehicle indices run as
 // an independent engine.Run with Config.IndexOffset = Start; the merge
@@ -180,8 +180,12 @@ func rangeConfig(cfg engine.Config, r Range) engine.Config {
 // unrecoverable shard still ships its partial vehicles first, exactly as
 // engine.Run returns the partial report alongside its error. The returned
 // error reports transport failures only — a sweep error travels in the
-// trailer.
+// trailer — and a range that does not lie inside the fleet, rejected
+// before any frame is written.
 func RunRangeWire(cfg engine.Config, r Range, out io.Writer) error {
+	if r.Start < 0 || r.Count <= 0 || r.Start > max(cfg.Fleet, 1)-r.Count {
+		return fmt.Errorf("shard: range %s outside the fleet of %d", r, max(cfg.Fleet, 1))
+	}
 	sub := rangeConfig(cfg, r)
 	w := wire.NewWriter(out)
 	var werr error

@@ -116,7 +116,7 @@ func TestShardedRunByteIdentical(t *testing.T) {
 // changes.
 func TestShardedChaosHealthIdentical(t *testing.T) {
 	cfg := smallCfg(8)
-	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1}
+	cfg.Chaos = &chaos.Plan{Seed: 7, Panic: 0.2, Deadline: 0.1}
 	oracle, err := engine.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +229,27 @@ func TestRunRejectsPreOffsetConfig(t *testing.T) {
 	cfg.IndexOffset = 2
 	if _, err := Run(Config{Engine: cfg, Shards: 2}); err == nil {
 		t.Fatal("Run accepted a pre-offset engine config")
+	}
+}
+
+// TestRunRangeWireRejectsRangeOutsideFleet: a shard child handed a range
+// past the end of the fleet (or overlapping it) fails before writing a
+// single frame, instead of streaming vehicles the fleet does not have.
+func TestRunRangeWireRejectsRangeOutsideFleet(t *testing.T) {
+	cfg := smallCfg(2)
+	for _, r := range []Range{{Start: 3, Count: 2}, {Start: 1, Count: 2}, {Start: 2, Count: 1}} {
+		var buf bytes.Buffer
+		err := RunRangeWire(cfg, r, &buf)
+		if err == nil || !strings.Contains(err.Error(), "outside the fleet") {
+			t.Errorf("range %s: err = %v, want an outside-the-fleet error", r, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("range %s: wrote %d bytes before rejecting", r, buf.Len())
+		}
+	}
+	var buf bytes.Buffer
+	if err := RunRangeWire(cfg, Range{Start: 1, Count: 1}, &buf); err != nil {
+		t.Errorf("in-fleet range rejected: %v", err)
 	}
 }
 

@@ -15,11 +15,10 @@
 // (attack.RegimeSummary, Groups, Health) encoded field by field in
 // declaration order.
 //
-// A vehicle report splits into its block — the Attacks and Groups regime
-// summaries — and the fields that vary per vehicle. A cell-major run gives
+// A vehicle report splits into its block — the per-group regime summaries
+// (Groups) — and the fields that vary per vehicle. A cell-major run gives
 // every vehicle the same block, so the stream sends a block once and each
-// vehicle frame after it carries only the varying fields: about 59 bytes a
-// vehicle instead of 224 on the quickstart campaign.
+// vehicle frame after it carries only the varying fields.
 //
 // # Stream grammar
 //
@@ -34,7 +33,7 @@
 // differs from the last one sent (bytes compared, so separately allocated
 // but equal blocks are sent once too); a vehicle frame with no block before
 // it is corrupt. The reader decodes each block once and hands every vehicle
-// it applies to the same read-only Attacks and Groups slices, the aliasing
+// it applies to the same read-only Groups slice, the aliasing
 // engine.VehicleReport documents for a cell-major run.
 //
 // Every frame carries a CRC32 of its payload, verified before any
@@ -50,7 +49,9 @@
 //
 // The header's version is a single uvarint, bumped on any change to the
 // frame grammar or the field layout of any payload kind. Version 2 split
-// the vehicle frame into block and vehicle frames. A reader speaks exactly
+// the vehicle frame into block and vehicle frames; Version 3 dropped the
+// per-vehicle regime fold (Attacks) from the block and six retired
+// counters from Health. A reader speaks exactly
 // one version and rejects every other with ErrVersion (no in-band
 // negotiation: the parent spawns the children from the same binary, and a
 // remote shard host pins its protocol version in its handshake). Fields
@@ -75,7 +76,7 @@ import (
 
 // Version is the protocol version this package speaks. Bumped on any
 // change to the stream grammar or payload layout.
-const Version = 2
+const Version = 3
 
 // magic opens every stream: "CSW1" (carsim shard wire). Distinguishes a
 // binary stream from a JSON document ('{') at the first byte.
@@ -275,7 +276,7 @@ func (r *Reader) readFrame() error {
 }
 
 // Next returns the next vehicle report, or io.EOF after the trailer frame
-// has been consumed. The report's Attacks and Groups are shared with every
+// has been consumed. The report's Groups are shared with every
 // other vehicle of the same block and must not be modified. A Reader that
 // has returned an error keeps returning it.
 func (r *Reader) Next() (*engine.VehicleReport, error) {
@@ -329,7 +330,7 @@ func (r *Reader) nextFrame() (*engine.VehicleReport, error) {
 		if r.block == nil {
 			return nil, fmt.Errorf("%w: vehicle frame before any block frame", ErrFrameChecksum)
 		}
-		v := engine.VehicleReport{Attacks: r.block.Attacks, Groups: r.block.Groups}
+		v := engine.VehicleReport{Groups: r.block.Groups}
 		decodeFields(&d, &v)
 		if d.err != nil || len(d.b) != 0 {
 			return nil, fmt.Errorf("%w: malformed vehicle payload", ErrFrameChecksum)
@@ -526,16 +527,10 @@ func decodeRegimes(d *dec) []attack.RegimeSummary {
 func appendHealth(b []byte, h *engine.Health) []byte {
 	b = appendInt(b, h.Quarantines)
 	b = appendInt(b, h.PanicRecoveries)
-	b = appendInt(b, h.IntegrityFailures)
 	b = appendInt(b, h.DeadlineOverruns)
-	b = appendInt(b, h.NotQuiescent)
 	b = appendInt(b, h.CrashRecoveries)
 	b = appendInt(b, h.Retries)
 	b = appendInt(b, int(h.Backoff))
-	b = appendInt(b, h.CellDemotions)
-	b = appendInt(b, h.VehicleDemotions)
-	b = appendInt(b, h.VerifySamples)
-	b = appendInt(b, h.VerifyMismatches)
 	b = appendInt(b, h.Unrecoverable)
 	return b
 }
@@ -543,23 +538,16 @@ func appendHealth(b []byte, h *engine.Health) []byte {
 func decodeHealth(d *dec, h *engine.Health) {
 	h.Quarantines = d.int()
 	h.PanicRecoveries = d.int()
-	h.IntegrityFailures = d.int()
 	h.DeadlineOverruns = d.int()
-	h.NotQuiescent = d.int()
 	h.CrashRecoveries = d.int()
 	h.Retries = d.int()
 	h.Backoff = time.Duration(d.int())
-	h.CellDemotions = d.int()
-	h.VehicleDemotions = d.int()
-	h.VerifySamples = d.int()
-	h.VerifyMismatches = d.int()
 	h.Unrecoverable = d.int()
 }
 
 // appendBlock encodes the part of a vehicle report a cell-major run shares
-// across its fleet: Attacks, then Groups.
+// across its fleet: Groups.
 func appendBlock(b []byte, v *engine.VehicleReport) []byte {
-	b = appendRegimes(b, v.Attacks)
 	b = appendUint(b, uint64(len(v.Groups)))
 	for _, g := range v.Groups {
 		b = appendRegimes(b, g)
@@ -568,7 +556,6 @@ func appendBlock(b []byte, v *engine.VehicleReport) []byte {
 }
 
 func decodeBlock(d *dec, v *engine.VehicleReport) {
-	v.Attacks = decodeRegimes(d)
 	if n := d.sliceLen(1); d.err == nil && n > 0 {
 		v.Groups = make([][]attack.RegimeSummary, n)
 		for i := range v.Groups {

@@ -29,7 +29,7 @@ func realVehicles(t testing.TB, fleet int) []engine.VehicleReport {
 		Scenarios:      attack.Scenarios()[:2],
 		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
 		TrafficHorizon: 10 * time.Millisecond,
-		Chaos:          &chaos.Plan{Seed: 7, Panic: 0.2, Corrupt: 0.1},
+		Chaos:          &chaos.Plan{Seed: 7, Panic: 0.2, Deadline: 0.1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,19 +227,19 @@ func TestVehicleBeforeBlockRejected(t *testing.T) {
 }
 
 // TestDecodedVehiclesShareBlock: the reader decodes a block once, so every
-// vehicle of a cell-major stream gets the same Attacks and Groups backing
-// arrays — what lets the merge fold the whole stream's groups as one run.
+// vehicle of a cell-major stream gets the same Groups backing array — what
+// lets the merge fold the whole stream's groups as one run.
 func TestDecodedVehiclesShareBlock(t *testing.T) {
 	vs := quickstartVehicles(t, 6)
 	got, _, err := drainStream(encodeStream(t, vs, wire.Trailer{Start: 0, Count: len(vs)}))
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if len(got) != len(vs) || len(got[0].Groups) == 0 || len(got[0].Attacks) == 0 {
+	if len(got) != len(vs) || len(got[0].Groups) == 0 {
 		t.Fatalf("decoded %d vehicles with %d groups; want %d with a block", len(got), len(got[0].Groups), len(vs))
 	}
 	for i, v := range got[1:] {
-		if &v.Groups[0] != &got[0].Groups[0] || &v.Attacks[0] != &got[0].Attacks[0] {
+		if &v.Groups[0] != &got[0].Groups[0] {
 			t.Errorf("vehicle %d does not share vehicle 0's decoded block", i+1)
 		}
 	}

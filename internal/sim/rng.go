@@ -26,22 +26,6 @@ func (r *RNG) Reseed(seed uint64) {
 	r.state = seed
 }
 
-// State exposes the raw generator state for checkpointing. Pair with
-// SetState to rewind a long-lived simulation component to a captured
-// mid-stream position (Reseed can only rewind to a stream's start).
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState restores a state captured by State. A zero value is remapped like
-// NewRNG's zero seed; it cannot arise from a live generator (xorshift never
-// reaches the all-zero fixed point from a non-zero state), so the remap only
-// guards a zero-value snapshot.
-func (r *RNG) SetState(state uint64) {
-	if state == 0 {
-		state = 0x9E3779B97F4A7C15
-	}
-	r.state = state
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	x := r.state

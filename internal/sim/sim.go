@@ -266,48 +266,6 @@ func (s *Scheduler) RunSteps(n int) int {
 	return ran
 }
 
-// SchedulerSnapshot captures a quiescent scheduler's counters: the virtual
-// clock, the schedule-order sequence and the executed-step count. A
-// quiescent scheduler (empty queue) has no other state, so the snapshot is
-// three words — no heap capture, no slot arena copy.
-type SchedulerSnapshot struct {
-	// Now is the captured virtual time.
-	Now time.Duration
-	// Seq is the captured schedule-order counter.
-	Seq uint64
-	// Steps is the captured executed-event count.
-	Steps uint64
-}
-
-// Quiescent reports whether the scheduler is at a checkpointable instant:
-// every queued event drained (Run returned). It is the cheap probe callers
-// use to turn the Snapshot panic below into a recoverable error.
-func (s *Scheduler) Quiescent() bool { return len(s.heap) == 0 }
-
-// Snapshot captures the scheduler's counters for a later RestoreFrom. The
-// scheduler must be quiescent — every queued event drained (Run returned) —
-// because a checkpoint taken mid-schedule would need the heap and slot arena
-// too; it panics otherwise rather than silently dropping queued events.
-func (s *Scheduler) Snapshot() SchedulerSnapshot {
-	if len(s.heap) != 0 {
-		panic("sim: Snapshot of a non-quiescent scheduler (events still queued)")
-	}
-	return SchedulerSnapshot{Now: s.now, Seq: s.seq, Steps: s.steps}
-}
-
-// RestoreFrom rewinds the scheduler to a state captured by Snapshot: any
-// queued events are discarded (their slots recycled, exactly as Reset does)
-// and the clock and counters are restored. A restored scheduler behaves
-// byte-identically to one that replayed the original prefix — the
-// checkpoint/restore contract the attack arena's prefix sharing relies on.
-func (s *Scheduler) RestoreFrom(snap SchedulerSnapshot) {
-	for _, e := range s.heap {
-		s.recycle(e.slot)
-	}
-	s.heap = s.heap[:0]
-	s.now, s.seq, s.steps = snap.Now, snap.Seq, snap.Steps
-}
-
 // Reset restores the scheduler to its pristine zero state — virtual time 0,
 // empty queue, zeroed step and sequence counters — without releasing memory:
 // every queued slot is recycled into the free list, so a reset scheduler
