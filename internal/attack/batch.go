@@ -13,44 +13,29 @@ package attack
 // whose shared-prefix siblings ended up scattered by the campaign compiler's
 // sample shuffle.
 
-// BatchPlan is one scenario group's scenarios organised into the prefix
-// buckets PlanBatches derived from their PrefixKeys. Plans are immutable
-// after construction and hold no vehicle state, so one plan is shared by
-// every worker of a fleet sweep.
-type BatchPlan struct {
-	// buckets holds scenario indices grouped by PrefixKey, buckets in
-	// first-appearance order and indices in scenario order within each.
-	buckets [][]int
-}
-
-// Buckets returns the number of prefix buckets in the plan.
-func (p *BatchPlan) Buckets() int { return len(p.buckets) }
-
-// Bucket returns the scenario indices of bucket bi, in scenario order. The
-// slice is the plan's own and must not be modified.
-func (p *BatchPlan) Bucket(bi int) []int { return p.buckets[bi] }
-
-// PlanBatches buckets scenarios by PrefixKey. Scenarios with equal non-zero
-// keys share a bucket (they promise an identical prefix: same Setup func or
-// none); a zero key opts a scenario out of grouping and yields a singleton
-// bucket. Buckets keep first-appearance order and scenario order within, so
-// planning is deterministic.
-func PlanBatches(scenarios []Scenario) *BatchPlan {
-	p := &BatchPlan{}
+// PlanBatches buckets scenarios by PrefixKey and returns the buckets as
+// lists of scenario indices. Scenarios with equal non-zero keys share a
+// bucket (they promise an identical prefix: same Setup func or none); a zero
+// key opts a scenario out of grouping and yields a singleton bucket.
+// Buckets keep first-appearance order and scenario order within, so
+// planning is deterministic. The result holds no vehicle state, so one plan
+// is shared read-only by every worker of a fleet sweep.
+func PlanBatches(scenarios []Scenario) [][]int {
+	var buckets [][]int
 	index := make(map[uint64]int, len(scenarios))
 	for i := range scenarios {
 		key := scenarios[i].PrefixKey
 		if key == 0 {
-			p.buckets = append(p.buckets, []int{i})
+			buckets = append(buckets, []int{i})
 			continue
 		}
 		bi, ok := index[key]
 		if !ok {
-			bi = len(p.buckets)
+			bi = len(buckets)
 			index[key] = bi
-			p.buckets = append(p.buckets, nil)
+			buckets = append(buckets, nil)
 		}
-		p.buckets[bi] = append(p.buckets[bi], i)
+		buckets[bi] = append(buckets[bi], i)
 	}
-	return p
+	return buckets
 }

@@ -16,14 +16,8 @@ func TestPlanBatchesGroupsByPrefixKey(t *testing.T) {
 	for i, k := range keys {
 		scs[i].PrefixKey = k
 	}
-	p := PlanBatches(scs)
 	want := [][]int{{0, 3, 6}, {1}, {2, 5}, {4}, {7}}
-	if p.Buckets() != len(want) {
-		t.Fatalf("buckets = %d, want %d", p.Buckets(), len(want))
-	}
-	for bi := range want {
-		if got := p.Bucket(bi); !reflect.DeepEqual(got, want[bi]) {
-			t.Errorf("bucket %d = %v, want %v", bi, got, want[bi])
-		}
+	if got := PlanBatches(scs); !reflect.DeepEqual(got, want) {
+		t.Errorf("buckets = %v, want %v", got, want)
 	}
 }

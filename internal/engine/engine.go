@@ -284,9 +284,9 @@ type shared struct {
 	macModule *mac.Module
 	probes    []macCheck // legitimate catalog writers, in catalog order
 	spoof     macCheck   // the infotainment→ECU spoof probe
-	// plans holds one prefix-bucketed plan per group (nil when
-	// Config.NoBatch): plans are immutable, so all workers share them.
-	plans []*attack.BatchPlan
+	// plans holds each group's prefix buckets, as scenario-index lists (nil
+	// when Config.NoBatch): plans are immutable, so all workers share them.
+	plans [][][]int
 	// sup is the resolved supervision configuration (chaos plan, retry
 	// budget, deadline budget) every worker consults.
 	sup supervisorCfg
@@ -354,7 +354,7 @@ func newShared(cfg Config) (*shared, error) {
 		sh.sup.timeBudget = defaultTimeBudget
 	}
 	if !cfg.NoBatch {
-		sh.plans = make([]*attack.BatchPlan, len(cfg.Groups))
+		sh.plans = make([][][]int, len(cfg.Groups))
 		for gi := range cfg.Groups {
 			sh.plans[gi] = attack.PlanBatches(cfg.Groups[gi].Scenarios)
 		}
@@ -400,7 +400,7 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 	type unit struct{ group, bucket int }
 	var units []unit
 	for gi, p := range sh.plans {
-		for bi := 0; bi < p.Buckets(); bi++ {
+		for bi := range p {
 			units = append(units, unit{gi, bi})
 		}
 	}
@@ -410,7 +410,7 @@ func (sh *shared) runCellMajor(pool *workerPool) (*FleetReport, error) {
 		u := units[k]
 		g := &cfg.Groups[u.group]
 		e := sh.newCellExec(ar, &healths[k], cfg.IndexOffset, u.group)
-		e.cells = sh.plans[u.group].Bucket(u.bucket)
+		e.cells = sh.plans[u.group][u.bucket]
 		var err error
 		if sums[k], err = runGroupCells(e, g); err != nil {
 			return fmt.Errorf("group %d (%q): %w", u.group, g.Name, err)

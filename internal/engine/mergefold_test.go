@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -200,6 +201,60 @@ func TestOnVehicleFiresOnFailedRun(t *testing.T) {
 	}
 	if fired != cfg.Fleet {
 		t.Fatalf("OnVehicle fired %d times on a failed run, want %d (errored vehicles emit too)", fired, cfg.Fleet)
+	}
+}
+
+// TestUnrecoverableVehicleLineHasNoRegimes pins how a partial report
+// renders a vehicle whose visit failed: its line carries no regime entries,
+// while its partial groups still count toward the fleet aggregates. A
+// vehicle that completed keeps its entries.
+func TestUnrecoverableVehicleLineHasNoRegimes(t *testing.T) {
+	cfg := quickConfig(8, 2)
+	cfg.Chaos = &chaos.Plan{Seed: 11, Panic: 0.2, Persist: 99}
+	rep, err := Run(cfg)
+	if !errors.Is(err, ErrUnrecoverable) {
+		t.Fatalf("err = %v, want ErrUnrecoverable", err)
+	}
+	lines := strings.Split(rep.String(), "\n")
+	var failed, completed int
+	for _, v := range rep.Vehicles {
+		i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, "  "+v.VIN+" ") })
+		if i < 0 {
+			t.Fatalf("%s: no vehicle line in\n%s", v.VIN, rep)
+		}
+		hasRegimes := strings.Contains(lines[i], "{succ=")
+		if v.Health.Unrecoverable > 0 {
+			failed++
+			if hasRegimes {
+				t.Errorf("failed vehicle renders regime entries: %q", lines[i])
+			}
+			if len(v.Groups) == 0 {
+				t.Errorf("%s: failed vehicle lost its partial groups", v.VIN)
+			}
+		} else {
+			completed++
+			if !hasRegimes {
+				t.Errorf("completed vehicle renders no regime entries: %q", lines[i])
+			}
+		}
+	}
+	if failed == 0 || completed == 0 {
+		t.Fatalf("plan gave %d failed and %d completed vehicles, want some of each", failed, completed)
+	}
+	var runs int
+	for _, v := range rep.Vehicles {
+		for _, g := range v.Groups {
+			for _, rs := range g {
+				runs += rs.Summary.Runs
+			}
+		}
+	}
+	var fleetRuns int
+	for _, rs := range rep.Attacks {
+		fleetRuns += rs.Summary.Runs
+	}
+	if fleetRuns != runs {
+		t.Errorf("fleet aggregates count %d runs, vehicles' groups %d", fleetRuns, runs)
 	}
 }
 

@@ -105,13 +105,19 @@ func (r *FleetReport) String() string {
 			rs.Regime, rs.Summary, rs.Summary.SuccessRate()*100, rs.Summary.BlockRate()*100)
 	}
 	// Each vehicle's line folds its groups per regime; vehicles sharing one
-	// block (every vehicle of a cell-major run) reuse one fold.
+	// block (every vehicle of a cell-major run) reuse one fold. A vehicle
+	// that booked an unrecoverable failure prints no regime entries: its
+	// groups are partial (they still count toward the fleet aggregates).
 	var block [][]attack.RegimeSummary
 	var attacks []attack.RegimeSummary
 	for i := range r.Vehicles {
 		v := &r.Vehicles[i]
 		fmt.Fprintf(&b, "  %s seed=%#016x delivered=%-5d util=%.4f%% steps=%-6d",
 			v.VIN, v.Seed, v.FramesDelivered, v.Utilisation*100, v.SchedulerSteps)
+		if v.Health.Unrecoverable > 0 {
+			b.WriteByte('\n')
+			continue
+		}
 		if !sameBlock(v.Groups, block) {
 			block, attacks = v.Groups, foldGroups(v.Groups)
 		}
