@@ -276,8 +276,8 @@ func BenchmarkAblationHPELookup(b *testing.B) {
 // BenchmarkHPELookup is the backend ablation (DESIGN.md §12): the same
 // allow-range policy compiled through every registered enforcement backend,
 // measured on the engine's Decide hot path with the worst-case identifier.
-// The table rows go through InstallEnforcer's unwrap onto the legacy atomic
-// table path, so they double as a regression guard for the re-homing.
+// Every backend, table included, runs the one InstallEnforcer/Decide path;
+// the table rows guard the cost of routing the default backend through it.
 func BenchmarkHPELookup(b *testing.B) {
 	for _, backend := range ir.Names() {
 		for _, size := range []uint32{16, 256, 2048} {
@@ -491,10 +491,12 @@ func BenchmarkFleetSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				fr, err = engine.Run(engine.Config{
-					Fleet:          fleetSize,
-					RootSeed:       42,
-					Scenarios:      scenarios,
-					Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+					Fleet: fleetSize,
+					Groups: []engine.ScenarioGroup{{
+						Scenarios: scenarios,
+						Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+						RootSeed:  42,
+					}},
 					TrafficHorizon: 10 * time.Millisecond,
 				})
 				if err != nil {

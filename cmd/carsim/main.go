@@ -32,6 +32,7 @@ import (
 	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -42,7 +43,6 @@ import (
 	"repro/internal/car"
 	"repro/internal/chaos"
 	"repro/internal/engine"
-	"repro/internal/hpe"
 	"repro/internal/policy/ir"
 	"repro/internal/report"
 	"repro/internal/risk"
@@ -298,10 +298,11 @@ func engineConfig(o *options) (engine.Config, error) {
 		return engine.Config{}, err
 	}
 	return engine.Config{
-		Fleet:          s.Fleet,
-		Workers:        s.Workers,
-		RootSeed:       s.RootSeed,
-		Regimes:        regimes,
+		Fleet:   s.Fleet,
+		Workers: s.Workers,
+		Groups: []engine.ScenarioGroup{{
+			Scenarios: attack.Scenarios(), Regimes: regimes, RootSeed: s.RootSeed,
+		}},
 		TrafficHorizon: s.TrafficHorizon,
 		ErrorRate:      s.ErrorRate,
 		FreshVehicles:  s.FreshVehicles,
@@ -563,7 +564,7 @@ func printHPEView() error {
 		return err
 	}
 	c := car.MustNew(car.Config{})
-	engines, err := hpe.Deploy(c.Bus(), h.Compiled, c, h.Cycles, car.AllNodes...)
+	engines, err := h.DeployEngines(c.Bus(), c, car.AllNodes...)
 	if err != nil {
 		return err
 	}
@@ -574,17 +575,24 @@ func printHPEView() error {
 func parseRegimes(s string) ([]attack.Enforcement, error) {
 	var out []attack.Enforcement
 	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(part)) {
+		var enf attack.Enforcement
+		w := strings.TrimSpace(strings.ToLower(part))
+		switch w {
 		case "none":
-			out = append(out, attack.EnforceNone)
+			enf = attack.EnforceNone
 		case "software":
-			out = append(out, attack.EnforceSoftware)
+			enf = attack.EnforceSoftware
 		case "hpe":
-			out = append(out, attack.EnforceHPE)
+			enf = attack.EnforceHPE
 		case "":
+			continue
 		default:
 			return nil, fmt.Errorf("unknown enforcement regime %q", part)
 		}
+		if slices.Contains(out, enf) {
+			return nil, fmt.Errorf("enforcement regime %q listed twice", w)
+		}
+		out = append(out, enf)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no enforcement regimes selected")

@@ -79,6 +79,21 @@ func TestParseFlagsRejects(t *testing.T) {
 	}
 }
 
+// TestRepeatedRegimeRejected checks a regime listed twice is refused in both
+// places -enforcement is read: the Table I fleet sweep and the attack matrix.
+func TestRepeatedRegimeRejected(t *testing.T) {
+	if _, err := engineConfig(mustParse(t, []string{"-fleet", "2", "-enforcement", "hpe,hpe"})); err == nil ||
+		!strings.Contains(err.Error(), "listed twice") {
+		t.Errorf("-fleet 2 -enforcement hpe,hpe: err = %v, want a repeated-regime error", err)
+	}
+	if _, err := parseRegimes("none, HPE,hpe"); err == nil {
+		t.Error("parseRegimes accepted a case-folded repeat")
+	}
+	if got, err := parseRegimes("none,software,hpe"); err != nil || len(got) != 3 {
+		t.Errorf("parseRegimes(none,software,hpe) = %v, %v", got, err)
+	}
+}
+
 func mustParse(t *testing.T, args []string) *options {
 	t.Helper()
 	o, err := parseFlags(args)
@@ -103,7 +118,7 @@ func mustEngineConfig(t *testing.T, o *options) engine.Config {
 // root seed, regimes and scenario identity.
 func sameConfig(a, b engine.Config) bool {
 	if (a.Harness == nil) != (b.Harness == nil) ||
-		a.Harness != nil && a.Harness.Backend != b.Harness.Backend {
+		a.Harness != nil && a.Harness.Enforcer.Backend() != b.Harness.Enforcer.Backend() {
 		return false
 	}
 	if len(a.Groups) != len(b.Groups) {

@@ -47,7 +47,7 @@ func (h *Harness) NewArena() (*Arena, error) {
 	for i, name := range car.AllNodes {
 		eng := hpe.New(name, c, h.Cycles)
 		eng.SetSingleOwner(true)
-		if err := h.installEngine(eng); err != nil {
+		if err := eng.InstallEnforcer(h.Enforcer); err != nil {
 			return nil, err
 		}
 		engines[i] = eng
@@ -66,12 +66,12 @@ func (a *Arena) Car() *car.Car { return a.car }
 func (a *Arena) SetSeed(seed uint64) { a.seed = seed }
 
 // deployEngines resets every pooled engine's counters, reinstalls the
-// compiled policy (a table reuse, not a recompilation) and attaches each
+// harness's enforcer (a reuse, not a recompilation) and attaches each
 // engine as its node's inline filter — the pooled equivalent of hpe.Deploy.
 func (a *Arena) deployEngines() error {
 	for i, n := range a.nodes {
 		a.engines[i].Reset()
-		if err := a.h.reinstallEngine(a.engines[i]); err != nil {
+		if err := a.engines[i].ReinstallEnforcer(a.h.Enforcer); err != nil {
 			return err
 		}
 		n.SetInlineFilter(a.engines[i])

@@ -220,16 +220,13 @@ func (r Result) String() string {
 
 // Harness runs scenarios against fresh cars.
 type Harness struct {
-	// Compiled is the policy loaded into HPEs under EnforceHPE. It is always
-	// populated — report views render approved lists from it — even when a
-	// non-table backend enforces.
+	// Compiled is the table artifact of the harness's policy. It is always
+	// populated — report views and the software-filter regime read approved
+	// lists from it — whichever backend enforces.
 	Compiled *policy.Compiled
-	// Backend names the policy backend engines decide with; "" means the
-	// default table interpreter.
-	Backend string
-	// Enforcer is the compiled enforcer for non-table backends. It is nil on
-	// the table path, which keeps every legacy install/deploy literally
-	// unchanged (and default-backend sweeps byte-identical).
+	// Enforcer is the compiled enforcer every policy engine decides with:
+	// ir.WrapCompiled(Compiled) on the default table backend, the named
+	// backend's build otherwise. Its Backend() names the backend.
 	Enforcer ir.Enforcer
 	// Cycles is the HPE cycle model.
 	Cycles hpe.CycleModel
@@ -273,39 +270,22 @@ func NewHarnessFromSet(set *policy.Set, backend string) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{Compiled: compiled, Backend: backend, Cycles: hpe.DefaultCycleModel()}
-	if backend != "" && backend != ir.DefaultBackend {
-		opts.Backend = backend
-		if h.Enforcer, err = ir.Build(set, opts); err != nil {
-			return nil, err
-		}
+	h := &Harness{Compiled: compiled, Cycles: hpe.DefaultCycleModel()}
+	if backend == "" || backend == ir.DefaultBackend {
+		h.Enforcer = ir.WrapCompiled(compiled)
+		return h, nil
+	}
+	opts.Backend = backend
+	if h.Enforcer, err = ir.Build(set, opts); err != nil {
+		return nil, err
 	}
 	return h, nil
 }
 
-// DeployEngines attaches policy engines running the harness's backend to
-// the named bus nodes: hpe.Deploy or hpe.DeployEnforcer as appropriate.
+// DeployEngines attaches policy engines running the harness's enforcer to
+// the named bus nodes.
 func (h *Harness) DeployEngines(bus *canbus.Bus, modes hpe.ModeSource, nodeNames ...string) (map[string]*hpe.Engine, error) {
-	if h.Enforcer != nil {
-		return hpe.DeployEnforcer(bus, h.Enforcer, modes, h.Cycles, nodeNames...)
-	}
-	return hpe.Deploy(bus, h.Compiled, modes, h.Cycles, nodeNames...)
-}
-
-// installEngine and reinstallEngine are the pooled-arena install paths,
-// routed through the harness's backend.
-func (h *Harness) installEngine(e *hpe.Engine) error {
-	if h.Enforcer != nil {
-		return e.InstallEnforcer(h.Enforcer)
-	}
-	return e.Install(h.Compiled)
-}
-
-func (h *Harness) reinstallEngine(e *hpe.Engine) error {
-	if h.Enforcer != nil {
-		return e.ReinstallEnforcer(h.Enforcer)
-	}
-	return e.Reinstall(h.Compiled)
+	return hpe.DeployEnforcer(bus, h.Enforcer, modes, h.Cycles, nodeNames...)
 }
 
 // stepTime spaces injected frames apart on the virtual clock.

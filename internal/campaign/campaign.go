@@ -27,6 +27,7 @@ package campaign
 import (
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -441,10 +442,15 @@ func (sp *Spec) Validate() error {
 	return nil
 }
 
+// validRegimes rejects unknown and repeated regime words: a repeated regime
+// would sweep (and report) the same cells twice.
 func validRegimes(words []string) error {
-	for _, w := range words {
+	for i, w := range words {
 		if !regimeWords[w] {
 			return fmt.Errorf("unknown enforcement regime %q", w)
+		}
+		if slices.Contains(words[:i], w) {
+			return fmt.Errorf("enforcement regime %q listed twice", w)
 		}
 	}
 	return nil

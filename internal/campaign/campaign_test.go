@@ -89,15 +89,19 @@ func TestParseRejectsInvalid(t *testing.T) {
 	bad := []string{
 		``,
 		`campaign "x" version 1 {}`, // no generators
-		`campaign "x" version 1 { mutate "m" { base NO-SUCH } }`,                // unknown base caught at compile, spec ok — see below
-		`campaign "x" version 1 { regimes warp mutate "m" {} }`,                 // unknown regime
-		`campaign "x" version 1 { flood "f" {} }`,                               // no teams
-		`campaign "x" version 1 { staged "s" { goal always } }`,                 // no attackers
-		`campaign "x" version 1 { mutate "m" {} mutate "m" {} }`,                // duplicate family
-		`campaign "x" version 1 { staged "s" { attackers A } }`,                 // no goal
-		`campaign "x" version 1 { mutate "m" { repeats 0 } }`,                   // bad repeat
-		`campaign "x" version 1 { mutate "m" { payloads 010203040506070809 } }`, // >8 bytes
-		`{"name":"x","version":1,"generators":[{"kind":"warp","name":"g"}]}`,    // bad kind via JSON
+		`campaign "x" version 1 { mutate "m" { base NO-SUCH } }`,                                         // unknown base caught at compile, spec ok — see below
+		`campaign "x" version 1 { regimes warp mutate "m" {} }`,                                          // unknown regime
+		`campaign "x" version 1 { flood "f" {} }`,                                                        // no teams
+		`campaign "x" version 1 { staged "s" { goal always } }`,                                          // no attackers
+		`campaign "x" version 1 { mutate "m" {} mutate "m" {} }`,                                         // duplicate family
+		`campaign "x" version 1 { staged "s" { attackers A } }`,                                          // no goal
+		`campaign "x" version 1 { mutate "m" { repeats 0 } }`,                                            // bad repeat
+		`campaign "x" version 1 { mutate "m" { payloads 010203040506070809 } }`,                          // >8 bytes
+		`{"name":"x","version":1,"generators":[{"kind":"warp","name":"g"}]}`,                             // bad kind via JSON
+		`campaign "x" version 1 { regimes none, hpe, hpe mutate "m" {} }`,                                // repeated regime
+		`campaign "x" version 1 { mutate "m" { regimes hpe, HPE } }`,                                     // repeated generator regime
+		`{"name":"x","version":1,"regimes":["hpe","hpe"],"generators":[{"kind":"mutate","name":"g"}]}`,   // repeated regime via JSON
+		`{"name":"x","version":1,"generators":[{"kind":"mutate","name":"g","regimes":["none","none"]}]}`, // repeated generator regime via JSON
 	}
 	for i, src := range bad {
 		if i == 2 {

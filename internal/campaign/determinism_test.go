@@ -136,10 +136,12 @@ func TestSweepMatchesFamilyMajorReference(t *testing.T) {
 	for fi := range plan.Families {
 		fam := &plan.Families[fi]
 		fr, err := engine.Run(engine.Config{
-			Fleet:          fleet,
-			RootSeed:       engine.VehicleSeed(root^fam.Seed, fi),
-			Scenarios:      fam.Scenarios,
-			Regimes:        fam.Regimes,
+			Fleet: fleet,
+			Groups: []engine.ScenarioGroup{{
+				Scenarios: fam.Scenarios,
+				Regimes:   fam.Regimes,
+				RootSeed:  engine.VehicleSeed(root^fam.Seed, fi),
+			}},
 			TrafficHorizon: 10 * time.Millisecond,
 			Harness:        h,
 			SkipLive:       fi != 0,

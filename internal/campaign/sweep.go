@@ -182,7 +182,6 @@ func EngineConfig(plan *Plan, cfg SweepConfig) (engine.Config, error) {
 	return engine.Config{
 		Fleet:          cfg.Fleet,
 		Workers:        cfg.Workers,
-		RootSeed:       groups[0].RootSeed,
 		Groups:         groups,
 		TrafficHorizon: cfg.TrafficHorizon,
 		ErrorRate:      cfg.ErrorRate,

@@ -22,6 +22,7 @@ import (
 	"repro/internal/hpe"
 	"repro/internal/mac"
 	"repro/internal/policy"
+	"repro/internal/policy/ir"
 	"repro/internal/threatmodel"
 )
 
@@ -109,9 +110,10 @@ func Provision(bus *canbus.Bus, modes hpe.ModeSource, oemKey ed25519.PublicKey, 
 		d.engines[name] = eng
 	}
 	store.Subscribe(func(installed *policy.Compiled) {
+		enf := ir.WrapCompiled(installed)
 		for _, eng := range d.engines {
-			// Install cannot fail for a non-nil compiled policy.
-			_ = eng.Install(installed)
+			// InstallEnforcer cannot fail for a non-nil enforcer.
+			_ = eng.InstallEnforcer(enf)
 		}
 	})
 	return d, nil

@@ -109,8 +109,6 @@ type Config struct {
 	Fleet int
 	// Workers bounds the worker pool (default runtime.GOMAXPROCS(0)).
 	Workers int
-	// RootSeed feeds per-vehicle seed derivation.
-	RootSeed uint64
 	// IndexOffset shifts this run's vehicle indices into the global fleet
 	// index space: the run simulates global vehicles [IndexOffset,
 	// IndexOffset+Fleet). Seeds, VINs, and every supervision coordinate
@@ -120,27 +118,15 @@ type Config struct {
 	// cell-major run simulates its cells under the seeds of its first
 	// vehicle, IndexOffset.
 	IndexOffset int
-	// Scenarios is the attack matrix swept per vehicle
-	// (default attack.Scenarios(), the full Table I set).
-	Scenarios []attack.Scenario
-	// Regimes are the enforcement configurations swept per vehicle
-	// (default none + hpe, the paper's baseline-vs-defence comparison).
-	Regimes []attack.Enforcement
-	// Groups optionally supplies multiple scenario groups swept per vehicle
-	// (a compiled campaign's families). When set, Scenarios,
-	// Regimes and RootSeed are ignored for the attack sweeps — each group
-	// carries its own — and the live background phase derives its seed from
-	// the first group's root. When empty, the run is the single-group legacy
-	// shape built from Scenarios/Regimes/RootSeed.
+	// Groups are the scenario groups swept per vehicle (required): a
+	// compiled campaign's families, or the one unnamed Table I group of a
+	// plain fleet sweep. Each group carries its own scenarios, regimes and
+	// root seed; the live background phase derives its seed from the first
+	// group's root, which the fleet report echoes as its RootSeed.
 	Groups []ScenarioGroup
-	// TrafficPeriod is the legitimate-traffic period of the live background
-	// simulation (default 1ms).
-	TrafficPeriod time.Duration
 	// TrafficHorizon is the virtual span of the live background simulation
 	// (default 50ms).
 	TrafficHorizon time.Duration
-	// Speed is the simulated vehicle speed for legitimate traffic.
-	Speed uint16
 	// ErrorRate enables bus error injection in the background simulation.
 	ErrorRate float64
 	// FreshVehicles disables vehicle pooling: every vehicle (and every
@@ -202,6 +188,13 @@ type Config struct {
 	OnVehicle func(*VehicleReport)
 }
 
+// trafficPeriod and trafficSpeed shape the live background simulation's
+// legitimate traffic: one frame per period, carrying the vehicle speed.
+const (
+	trafficPeriod = time.Millisecond
+	trafficSpeed  = 88
+)
+
 func (c *Config) applyDefaults() error {
 	if c.Fleet <= 0 {
 		c.Fleet = 1
@@ -213,16 +206,7 @@ func (c *Config) applyDefaults() error {
 		c.Workers = c.Fleet
 	}
 	if len(c.Groups) == 0 {
-		// Legacy single-group shape: the defaulted Scenarios/Regimes swept
-		// under the run's root seed. With explicit Groups these fields are
-		// ignored, so their defaults are not even built.
-		if len(c.Scenarios) == 0 {
-			c.Scenarios = attack.Scenarios()
-		}
-		if len(c.Regimes) == 0 {
-			c.Regimes = []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE}
-		}
-		c.Groups = []ScenarioGroup{{Scenarios: c.Scenarios, Regimes: c.Regimes, RootSeed: c.RootSeed}}
+		return fmt.Errorf("engine: config has no scenario groups")
 	}
 	for i := range c.Groups {
 		if len(c.Groups[i].Scenarios) == 0 {
@@ -232,14 +216,8 @@ func (c *Config) applyDefaults() error {
 			return fmt.Errorf("engine: group %d (%q) has no regimes", i, c.Groups[i].Name)
 		}
 	}
-	if c.TrafficPeriod <= 0 {
-		c.TrafficPeriod = time.Millisecond
-	}
 	if c.TrafficHorizon <= 0 {
 		c.TrafficHorizon = 50 * time.Millisecond
-	}
-	if c.Speed == 0 {
-		c.Speed = 88
 	}
 	return nil
 }
@@ -687,7 +665,7 @@ func (sh *shared) runLive(ar *arena, rep *VehicleReport) error {
 	if err != nil {
 		return err
 	}
-	c.StartTraffic(sh.cfg.TrafficPeriod, sh.cfg.TrafficHorizon, sh.cfg.Speed)
+	c.StartTraffic(trafficPeriod, sh.cfg.TrafficHorizon, trafficSpeed)
 	c.Scheduler().Run()
 	collectLive(rep, c)
 	return nil

@@ -17,12 +17,13 @@ import (
 // traffic horizon.
 func quickConfig(fleetSize, workers int) Config {
 	return Config{
-		Fleet:          fleetSize,
-		Workers:        workers,
-		RootSeed:       0xC0FFEE,
-		Scenarios:      attack.Scenarios()[:3],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
-		TrafficPeriod:  time.Millisecond,
+		Fleet:   fleetSize,
+		Workers: workers,
+		Groups: []ScenarioGroup{{
+			Scenarios: attack.Scenarios()[:3],
+			Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+			RootSeed:  0xC0FFEE,
+		}},
 		TrafficHorizon: 10 * time.Millisecond,
 	}
 }

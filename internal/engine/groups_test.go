@@ -26,7 +26,6 @@ func groupConfig(groups []ScenarioGroup, workers int, fresh bool) Config {
 	return Config{
 		Fleet:          6,
 		Workers:        workers,
-		RootSeed:       groups[0].RootSeed,
 		Groups:         groups,
 		TrafficHorizon: 5 * time.Millisecond,
 		ErrorRate:      0.02,
@@ -52,9 +51,7 @@ func TestGroupsMatchFamilyMajorRuns(t *testing.T) {
 		single, err := Run(Config{
 			Fleet:          6,
 			Workers:        2,
-			RootSeed:       g.RootSeed,
-			Scenarios:      g.Scenarios,
-			Regimes:        g.Regimes,
+			Groups:         []ScenarioGroup{g},
 			TrafficHorizon: 5 * time.Millisecond,
 			ErrorRate:      0.02,
 			SkipLive:       gi != 0,
@@ -143,9 +140,13 @@ func TestGroupsPooledMatchesFreshAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestGroupsValidation pins the explicit-group contract: a group without
-// scenarios or regimes is a configuration error, not a silent no-op.
+// TestGroupsValidation pins the explicit-group contract: a config without
+// groups, or a group without scenarios or regimes, is a configuration
+// error, not a silent no-op.
 func TestGroupsValidation(t *testing.T) {
+	if _, err := Run(Config{Fleet: 1}); err == nil {
+		t.Error("config with no groups did not error")
+	}
 	if _, err := Run(Config{Groups: []ScenarioGroup{{Name: "empty"}}}); err == nil {
 		t.Error("group with no scenarios did not error")
 	}

@@ -54,7 +54,7 @@ func newMergeFold(cfg Config) *MergeFold {
 	fr := &FleetReport{
 		Fleet:    cfg.Fleet,
 		Workers:  cfg.Workers,
-		RootSeed: cfg.RootSeed,
+		RootSeed: cfg.Groups[0].RootSeed,
 		Groups:   make([]GroupReport, len(cfg.Groups)),
 	}
 	for gi := range cfg.Groups {

@@ -13,11 +13,13 @@ import (
 // both regimes, bus error injection active.
 func pooledTestConfig(workers int) Config {
 	return Config{
-		Fleet:          10,
-		Workers:        workers,
-		RootSeed:       42,
-		Scenarios:      attack.Scenarios()[:4],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+		Fleet:   10,
+		Workers: workers,
+		Groups: []ScenarioGroup{{
+			Scenarios: attack.Scenarios()[:4],
+			Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+			RootSeed:  42,
+		}},
 		TrafficHorizon: 10 * time.Millisecond,
 		ErrorRate:      0.02,
 	}

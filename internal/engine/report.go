@@ -58,12 +58,13 @@ type FleetReport struct {
 	// Fleet and Workers echo the run configuration.
 	Fleet   int
 	Workers int
-	// RootSeed echoes the seed all vehicle seeds derive from.
+	// RootSeed echoes the first group's root seed, from which the live
+	// phase's vehicle seeds derive.
 	RootSeed uint64
 	// Vehicles holds every per-vehicle report, ordered by index.
 	Vehicles []VehicleReport
 	// Groups holds one fleet-merged block per scenario group, in group
-	// order (a single block for legacy single-group runs).
+	// order.
 	Groups []GroupReport
 	// Attacks holds fleet-merged attack aggregates, one per regime keyed by
 	// first appearance across groups.

@@ -28,8 +28,9 @@ func buildEnforcer(t *testing.T, backend string) ir.Enforcer {
 }
 
 // TestInstallEnforcerDecisionsMatchTable drives every registered backend
-// through the engine's Decide path and requires verdicts identical to the
-// legacy table install, in both modes and directions.
+// through the engine's Decide path and requires verdicts identical to an
+// Install of the directly compiled table, in every mode and direction, with
+// and without the single-owner cache — and Decide never allocating.
 func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 	probes := []struct {
 		dir canbus.Direction
@@ -61,6 +62,14 @@ func TestInstallEnforcerDecisionsMatchTable(t *testing.T) {
 						t.Errorf("%s (single=%v) mode %s: Decide(%v, 0x%X) = %v, want %v",
 							backend, single, mode, p.dir, p.id, got, want)
 					}
+				}
+				granted, blocked := frame(0x100), frame(0x123)
+				allocs := testing.AllocsPerRun(100, func() {
+					e.Decide(canbus.Read, granted)
+					e.Decide(canbus.Write, blocked)
+				})
+				if allocs != 0 {
+					t.Errorf("%s (single=%v) mode %s: Decide allocates %.1f/op, want 0", backend, single, mode, allocs)
 				}
 			}
 		}

@@ -7,8 +7,9 @@
 //
 //   - Transparency: the engine implements canbus.InlineFilter and is invisible
 //     to node software; nothing in the node's firmware path can mutate it.
-//     Table swaps happen only through Install, which the secure policy-update
-//     path (policy.Store) drives.
+//     Policy swaps happen only through InstallEnforcer (Install wraps a
+//     compiled table into it), which the secure policy-update path
+//     (policy.Store) drives.
 //   - Robustness to firmware compromise: compromising the CAN controller
 //     (Controller.CompromiseFilters) bypasses software acceptance filters but
 //     leaves the engine's filtering intact, because it is a separate hardware
@@ -92,7 +93,7 @@ type Stats struct {
 
 // Engine is one node's policy engine instance.
 //
-// By default an Engine is safe for concurrent use: the table swap is atomic
+// By default an Engine is safe for concurrent use: the policy swap is atomic
 // and the statistics are mutex-protected. A fleet worker that confines an
 // engine to one goroutine can call SetSingleOwner(true) to drop the mutex
 // from the decision hot path (the same single-owner contract canbus.Bus
@@ -106,37 +107,26 @@ type Engine struct {
 	perDecision uint64
 	single      bool // single-owner mode: skip the stats mutex
 
-	table  atomic.Pointer[policy.NodeTable]
-	source *policy.Compiled // the compiled policy the table came from
+	// installed is the decision logic, whatever the policy backend: the
+	// enforcer and this node's resolved decider, swapped as one pointer so
+	// a concurrent Decide sees either the old policy or the new one.
+	installed atomic.Pointer[install]
 
-	// gen holds the generic install for non-table policy backends (expr,
-	// closure): the enforcer and the node's resolved decider. Exactly one of
-	// table/gen is non-nil after an install; the table backend keeps its
-	// historical atomic-NodeTable fast path and never touches gen.
-	gen     atomic.Pointer[genInstall]
-	backend string // active backend name ("" before any install)
-
-	// Resolved mode-table cache, maintained only in single-owner mode: it
-	// skips the per-decision map lookup NodeTable.Table performs. The
+	// Resolved-decider cache, maintained only in single-owner mode: one
+	// Resolve per (install, mode) change instead of per decision. The
 	// concurrent default path must not touch it (Install may race Decide).
-	cacheTable *policy.NodeTable
-	cacheMode  policy.Mode
-	cacheMT    policy.ModeTable
-
-	// The same cache for the generic path: one ModeDecider resolution per
-	// (install, mode) change instead of per decision.
-	cacheGen   *genInstall
-	cacheGMode policy.Mode
-	cacheMD    ir.ModeDecider
+	cacheIns  *install
+	cacheMode policy.Mode
+	cacheMD   ir.ModeDecider
 
 	mu      sync.Mutex
 	stats   Stats
 	auditor *Auditor
 }
 
-// genInstall is one generic (non-table) backend install: swapped atomically
-// as a unit, like the NodeTable pointer on the table path.
-type genInstall struct {
+// install is one installed policy: the enforcer and the engine's node
+// decider drawn from it.
+type install struct {
 	enf  ir.Enforcer
 	node ir.NodeDecider
 }
@@ -175,107 +165,57 @@ func (e *Engine) unlock() {
 	}
 }
 
-// Install loads the node's table from a compiled policy. It is the only
-// mutation path, used by the secure update mechanism; the swap is atomic
-// with respect to concurrent decisions.
+// Install loads the node's table from a compiled policy: InstallEnforcer on
+// the table backend's wrapping of c.
 func (e *Engine) Install(c *policy.Compiled) error {
 	if c == nil {
 		return fmt.Errorf("hpe: nil compiled policy")
 	}
-	e.gen.Store(nil)
-	e.table.Store(c.Node(e.subject))
-	e.lock()
-	e.source = c
-	e.backend = ir.DefaultBackend
-	e.stats.Installs++
-	e.unlock()
-	return nil
+	return e.InstallEnforcer(ir.WrapCompiled(c))
 }
 
-// InstallEnforcer loads the node's decision logic from a compiled enforcer.
-// The table backend routes through the historical Install path (atomic
-// NodeTable swap, untouched hot path); every other backend installs its
-// NodeDecider on the generic path. Like Install, the swap is atomic with
-// respect to concurrent decisions.
+// InstallEnforcer loads the node's decision logic from a compiled enforcer
+// of any backend. It is the only mutation path, used by the secure update
+// mechanism; the swap is atomic with respect to concurrent decisions.
 func (e *Engine) InstallEnforcer(enf ir.Enforcer) error {
 	if enf == nil {
 		return fmt.Errorf("hpe: nil enforcer")
 	}
-	if te, ok := enf.(*ir.TableEnforcer); ok {
-		return e.Install(te.Compiled())
-	}
-	e.table.Store(nil)
-	e.gen.Store(&genInstall{enf: enf, node: enf.Node(e.subject)})
-	e.lock()
-	e.source = nil
-	e.backend = enf.Backend()
-	e.stats.Installs++
-	e.unlock()
+	e.installed.Store(&install{enf: enf, node: enf.Node(e.subject)})
+	e.countInstall()
 	return nil
 }
 
 // ReinstallEnforcer is InstallEnforcer specialised for re-provisioning a
-// pooled engine, mirroring Reinstall: when the enforcer is the one already
-// installed, the resolved decider is reused.
+// pooled engine: when the enforcer is the one already installed, the
+// resolved decider is reused and only the install is counted.
 func (e *Engine) ReinstallEnforcer(enf ir.Enforcer) error {
 	if enf == nil {
 		return fmt.Errorf("hpe: nil enforcer")
 	}
-	if te, ok := enf.(*ir.TableEnforcer); ok {
-		return e.Reinstall(te.Compiled())
-	}
-	g := e.gen.Load()
-	same := g != nil && g.enf == enf
-	if same {
-		e.lock()
-		e.stats.Installs++
-		e.unlock()
+	if in := e.installed.Load(); in != nil && in.enf == enf {
+		e.countInstall()
 		return nil
 	}
 	return e.InstallEnforcer(enf)
 }
 
-// Reinstall is Install specialised for re-provisioning a pooled engine: when
-// the compiled policy is the one already installed, the resolved lookup
-// tables are reused instead of being re-derived (Compiled.Node allocates a
-// fresh deny-all table for unknown subjects on every call, and even the
-// known-subject path pays a map lookup). A different compiled policy falls
-// back to a full Install.
-func (e *Engine) Reinstall(c *policy.Compiled) error {
-	if c == nil {
-		return fmt.Errorf("hpe: nil compiled policy")
-	}
+func (e *Engine) countInstall() {
 	e.lock()
-	same := e.source == c && e.table.Load() != nil
-	if same {
-		e.stats.Installs++
-	}
+	e.stats.Installs++
 	e.unlock()
-	if same {
-		return nil
-	}
-	return e.Install(c)
 }
 
-// Installed reports whether decision logic has been loaded (a policy table
-// or a generic enforcer).
-func (e *Engine) Installed() bool { return e.table.Load() != nil || e.gen.Load() != nil }
+// Installed reports whether decision logic has been loaded.
+func (e *Engine) Installed() bool { return e.installed.Load() != nil }
 
 // Backend returns the name of the active policy backend, or "" before any
 // install.
 func (e *Engine) Backend() string {
-	e.lock()
-	defer e.unlock()
-	return e.backend
-}
-
-// Enforcer returns the generic enforcer installed via InstallEnforcer, or
-// nil when the engine runs the table path.
-func (e *Engine) Enforcer() ir.Enforcer {
-	if g := e.gen.Load(); g != nil {
-		return g.enf
+	if in := e.installed.Load(); in != nil {
+		return in.enf.Backend()
 	}
-	return nil
+	return ""
 }
 
 // Reset zeroes the engine's counters, returning it to the statistical state
@@ -303,50 +243,26 @@ func (e *Engine) CycleModel() CycleModel { return e.cycles }
 // frames, granting only identifiers present for the current mode.
 func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 	verdict := canbus.Block
-	t := e.table.Load()
-	if t != nil {
-		var mt policy.ModeTable
-		mode := e.modes.Mode()
-		if e.single && t == e.cacheTable && mode == e.cacheMode {
-			mt = e.cacheMT
-		} else {
-			mt = t.Table(mode)
-			if e.single {
-				e.cacheTable, e.cacheMode, e.cacheMT = t, mode, mt
-			}
-		}
-		switch dir {
-		case canbus.Read:
-			if mt.Reads != nil && mt.Reads.Contains(f.ID) {
-				verdict = canbus.Grant
-			}
-		case canbus.Write:
-			if mt.Writes != nil && mt.Writes.Contains(f.ID) {
-				verdict = canbus.Grant
-			}
-		}
-	} else if g := e.gen.Load(); g != nil {
-		// Generic backend path, mirroring the table path's single-owner
-		// resolved-decider cache: one Resolve per (install, mode) change.
+	if in := e.installed.Load(); in != nil {
 		var md ir.ModeDecider
 		mode := e.modes.Mode()
-		if e.single && g == e.cacheGen && mode == e.cacheGMode {
+		if e.single && in == e.cacheIns && mode == e.cacheMode {
 			md = e.cacheMD
 		} else {
-			md = g.node.Resolve(mode)
+			md = in.node.Resolve(mode)
 			if e.single {
-				e.cacheGen, e.cacheGMode, e.cacheMD = g, mode, md
+				e.cacheIns, e.cacheMode, e.cacheMD = in, mode, md
 			}
 		}
+		var act policy.Action // zero for an unknown direction: denied
 		switch dir {
 		case canbus.Read:
-			if md.Allow(policy.ActRead, f.ID) {
-				verdict = canbus.Grant
-			}
+			act = policy.ActRead
 		case canbus.Write:
-			if md.Allow(policy.ActWrite, f.ID) {
-				verdict = canbus.Grant
-			}
+			act = policy.ActWrite
+		}
+		if md.Allow(act, f.ID) {
+			verdict = canbus.Grant
 		}
 	}
 
@@ -378,26 +294,18 @@ func (e *Engine) Decide(dir canbus.Direction, f canbus.Frame) canbus.Verdict {
 }
 
 // Deploy attaches engines to every listed node of a bus and installs the
-// compiled policy into each. It returns the engines keyed by node name.
+// compiled policy into each: DeployEnforcer on the table backend's wrapping
+// of compiled. It returns the engines keyed by node name.
 func Deploy(bus *canbus.Bus, compiled *policy.Compiled, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
-	engines := make(map[string]*Engine, len(nodeNames))
-	for _, name := range nodeNames {
-		node, ok := bus.Node(name)
-		if !ok {
-			return nil, fmt.Errorf("hpe: node %q not attached to bus", name)
-		}
-		eng := New(name, modes, cycles)
-		if err := eng.Install(compiled); err != nil {
-			return nil, err
-		}
-		node.SetInlineFilter(eng)
-		engines[name] = eng
+	if compiled == nil {
+		return nil, fmt.Errorf("hpe: nil compiled policy")
 	}
-	return engines, nil
+	return DeployEnforcer(bus, ir.WrapCompiled(compiled), modes, cycles, nodeNames...)
 }
 
-// DeployEnforcer is Deploy for a compiled enforcer: same attachment, with
-// the backend-appropriate install path per engine.
+// DeployEnforcer attaches engines to every listed node of a bus and installs
+// the compiled enforcer into each. It returns the engines keyed by node
+// name.
 func DeployEnforcer(bus *canbus.Bus, enf ir.Enforcer, modes ModeSource, cycles CycleModel, nodeNames ...string) (map[string]*Engine, error) {
 	engines := make(map[string]*Engine, len(nodeNames))
 	for _, name := range nodeNames {

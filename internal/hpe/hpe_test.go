@@ -217,9 +217,13 @@ func TestDeploy(t *testing.T) {
 	}
 }
 
+// TestConcurrentDecideAndInstall hot-swaps one policy between the table
+// and expr backends while other goroutines decide frames it grants: every
+// decision must see one whole install, never a gap between two.
 func TestConcurrentDecideAndInstall(t *testing.T) {
 	e := newEngine(t, "Normal")
 	c2 := compiled(t, testPolicy, []string{"ecu"}, []policy.Mode{"Normal", "Diag"})
+	expr := buildEnforcer(t, "expr")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -231,6 +235,7 @@ func TestConcurrentDecideAndInstall(t *testing.T) {
 				return
 			default:
 				_ = e.Install(c2)
+				_ = e.InstallEnforcer(expr)
 			}
 		}
 	}()
@@ -249,7 +254,8 @@ func TestConcurrentDecideAndInstall(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	st := e.Stats()
-	if st.ReadsBlocked != 0 {
-		t.Errorf("reads blocked during hot swap: %d (swap must be atomic)", st.ReadsBlocked)
+	if st.ReadsBlocked != 0 || st.WritesBlocked != 0 {
+		t.Errorf("granted frames blocked during hot swap: %d reads, %d writes (swap must be atomic)",
+			st.ReadsBlocked, st.WritesBlocked)
 	}
 }

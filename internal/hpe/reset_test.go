@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/canbus"
 	"repro/internal/policy"
+	"repro/internal/policy/ir"
 )
 
 // reinstallPolicy builds a small compiled policy for the reuse tests.
@@ -53,25 +54,29 @@ func TestEngineReset(t *testing.T) {
 	}
 }
 
-// TestEngineReinstall checks Reinstall reuses the resolved table for the
-// same compiled policy and swaps for a different one.
+// TestEngineReinstall checks ReinstallEnforcer reuses the install for the
+// enforcer already installed and swaps for a different one.
 func TestEngineReinstall(t *testing.T) {
-	c1 := reinstallPolicy(t, 1)
+	enf1 := ir.WrapCompiled(reinstallPolicy(t, 1))
 	e := New("ecu", FixedMode("Normal"), DefaultCycleModel())
-	if err := e.Install(c1); err != nil {
+	if err := e.InstallEnforcer(enf1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reinstall(c1); err != nil {
+	before := e.installed.Load()
+	if err := e.ReinstallEnforcer(enf1); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Stats().Installs; got != 2 {
 		t.Errorf("Installs = %d after Install+Reinstall, want 2", got)
 	}
+	if e.installed.Load() != before {
+		t.Error("same-enforcer ReinstallEnforcer rebuilt the install")
+	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Grant {
-		t.Error("table lost across same-policy Reinstall")
+		t.Error("table lost across same-policy ReinstallEnforcer")
 	}
 
-	// A different compiled policy must actually swap.
+	// A different enforcer must actually swap.
 	set := &policy.Set{Name: "p", Version: 2, Rules: []policy.Rule{
 		{Subject: "ecu", Effect: policy.Allow, Action: policy.ActRead, IDs: policy.SingleID(0x200)},
 	}}
@@ -81,11 +86,11 @@ func TestEngineReinstall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reinstall(c2); err != nil {
+	if err := e.ReinstallEnforcer(ir.WrapCompiled(c2)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x200, nil)) != canbus.Grant {
-		t.Error("Reinstall with a new policy did not swap the table")
+		t.Error("ReinstallEnforcer with a new policy did not swap the table")
 	}
 	if e.Decide(canbus.Read, canbus.MustDataFrame(0x100, nil)) != canbus.Block {
 		t.Error("old table still active after swap")

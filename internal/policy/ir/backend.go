@@ -155,6 +155,3 @@ func (denyAllMode) Allow(policy.Action, uint32) bool { return false }
 type denyAllNode struct{}
 
 func (denyAllNode) Resolve(policy.Mode) ModeDecider { return denyAllMode{} }
-
-// DenyAllNode returns the shared deny-everything NodeDecider.
-func DenyAllNode() NodeDecider { return denyAllNode{} }

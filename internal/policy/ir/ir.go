@@ -24,6 +24,10 @@
 //     for the rego/CEL-style textual exports), and "closure" pre-compiles
 //     every (subject, mode, direction) decision into direct-mapped jump
 //     tables specialised for the vehicle model.
+//   - The HPE (internal/hpe) installs every backend the same way, through
+//     Enforcer.Node: it holds no backend-specific path. WrapCompiled
+//     adapts a *policy.Compiled for callers that still compile tables
+//     directly.
 //
 // # Decision semantics
 //

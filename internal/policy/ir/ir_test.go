@@ -250,20 +250,10 @@ func TestBuildAndRegistry(t *testing.T) {
 	}
 }
 
-func TestTableEnforcerExposesCompiled(t *testing.T) {
-	set, opts := testSet(), testOpts()
-	opts.Backend = "table"
-	enf, err := Build(set, opts)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	te, ok := enf.(*TableEnforcer)
-	if !ok {
-		t.Fatalf("table backend built %T, want *TableEnforcer", enf)
-	}
-	if te.Compiled() == nil {
-		t.Fatal("TableEnforcer.Compiled() = nil")
-	}
+// TestWrapCompiledMatchesEval requires the wrapping of a directly compiled
+// table artifact to decide exactly as the lowered policy evaluates.
+func TestWrapCompiledMatchesEval(t *testing.T) {
+	set := testSet()
 	direct, err := policy.Compile(set, testOpts())
 	if err != nil {
 		t.Fatalf("policy.Compile: %v", err)
@@ -283,6 +273,10 @@ func TestTableEnforcerExposesCompiled(t *testing.T) {
 	}
 }
 
+// TestDecideAllocFree holds every backend's decision surfaces — the
+// resolved ModeDecider, Node(...).Resolve(mode) and Enforcer.Decide — to
+// zero allocations: the HPE resolves once per frame when it runs without
+// the single-owner cache.
 func TestDecideAllocFree(t *testing.T) {
 	set, opts := testSet(), testOpts()
 	for _, name := range Names() {
@@ -291,13 +285,28 @@ func TestDecideAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%q): %v", name, err)
 		}
-		md := enf.Node("ecu").Resolve("normal")
-		allocs := testing.AllocsPerRun(1000, func() {
-			md.Allow(policy.ActWrite, 0x300)
-			md.Allow(policy.ActRead, 0x101)
-		})
-		if allocs != 0 {
-			t.Errorf("%s ModeDecider.Allow allocates %.1f/op, want 0", name, allocs)
+		node := enf.Node("ecu")
+		md := node.Resolve("normal")
+		for _, c := range []struct {
+			what string
+			f    func()
+		}{
+			{"ModeDecider.Allow", func() {
+				md.Allow(policy.ActWrite, 0x300)
+				md.Allow(policy.ActRead, 0x101)
+			}},
+			{"NodeDecider.Resolve(mode).Allow", func() {
+				node.Resolve("normal").Allow(policy.ActWrite, 0x300)
+				node.Resolve("track-day").Allow(policy.ActRead, 0x101)
+			}},
+			{"Enforcer.Decide", func() {
+				enf.Decide("ecu", 0x300, policy.ActWrite, Context{Mode: "normal"})
+				enf.Decide("absent", 0x101, policy.ActRead, Context{Mode: "normal"})
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(1000, c.f); allocs != 0 {
+				t.Errorf("%s %s allocates %.1f/op, want 0", name, c.what, allocs)
+			}
 		}
 	}
 }

@@ -26,75 +26,76 @@ func (tableBackend) Compile(p *Policy) (Enforcer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TableEnforcer{compiled: c, subjects: p.subjectIdx}, nil
+	return WrapCompiled(c), nil
 }
 
-// TableEnforcer wraps a *policy.Compiled. It is exported so the HPE can
-// recognise the table backend and keep its historical atomic-table fast
-// path (hpe.Engine swaps whole NodeTable pointers) instead of going through
-// the generic decider indirection.
-type TableEnforcer struct {
+// tableEnforcer serves decisions from a *policy.Compiled. Every (subject,
+// mode) decider is built once, at wrap time, so Node, Resolve and Allow are
+// lookups that never allocate.
+type tableEnforcer struct {
 	compiled *policy.Compiled
-	subjects map[string]int
+	nodes    map[string]*tableNode
 }
 
-// WrapCompiled adapts an already-compiled table artifact (the legacy
+// WrapCompiled adapts an already-compiled table artifact (the
 // policy.Compile output) into an Enforcer without re-lowering. Callers that
-// still build *policy.Compiled directly use this to meet Enforcer-shaped APIs.
-func WrapCompiled(c *policy.Compiled) *TableEnforcer {
+// hold a *policy.Compiled — hpe.Install, the attack harness — use it to meet
+// Enforcer-shaped APIs.
+func WrapCompiled(c *policy.Compiled) Enforcer {
 	subs := c.Subjects()
-	idx := make(map[string]int, len(subs))
-	for i, s := range subs {
-		idx[s] = i
+	nodes := make(map[string]*tableNode, len(subs))
+	for _, s := range subs {
+		nt := c.Node(s)
+		n := &tableNode{modes: make(map[policy.Mode]ModeDecider, len(nt.PerMode))}
+		for mode, mt := range nt.PerMode {
+			n.modes[mode] = &tableMode{reads: mt.Reads, writes: mt.Writes}
+		}
+		nodes[s] = n
 	}
-	return &TableEnforcer{compiled: c, subjects: idx}
+	return &tableEnforcer{compiled: c, nodes: nodes}
 }
-
-// Compiled exposes the underlying table artifact.
-func (t *TableEnforcer) Compiled() *policy.Compiled { return t.compiled }
 
 // Backend implements Enforcer.
-func (t *TableEnforcer) Backend() string { return "table" }
+func (t *tableEnforcer) Backend() string { return "table" }
 
 // Policy implements Enforcer.
-func (t *TableEnforcer) Policy() (string, uint64) { return t.compiled.Name, t.compiled.Version }
+func (t *tableEnforcer) Policy() (string, uint64) { return t.compiled.Name, t.compiled.Version }
 
 // Decide implements Enforcer: a direct walk of the compiled approved lists.
-func (t *TableEnforcer) Decide(subject string, object uint32, act policy.Action, ctx Context) Decision {
+func (t *tableEnforcer) Decide(subject string, object uint32, act policy.Action, ctx Context) Decision {
 	if t.Node(subject).Resolve(ctx.Mode).Allow(act, object) {
 		return Decision{Effect: policy.Allow}
 	}
 	return Decision{Effect: policy.Deny}
 }
 
-// Node implements Enforcer. Known subjects resolve through their compiled
-// NodeTable; unknown subjects share the deny-all decider (the compiled form
-// would allocate a fresh deny-all table per call).
-func (t *TableEnforcer) Node(subject string) NodeDecider {
-	if _, ok := t.subjects[subject]; !ok {
-		return denyAllNode{}
+// Node implements Enforcer. Unknown subjects share the deny-all decider
+// (the compiled form would allocate a fresh deny-all table per call).
+func (t *tableEnforcer) Node(subject string) NodeDecider {
+	if n, ok := t.nodes[subject]; ok {
+		return n
 	}
-	return tableNode{t: t.compiled.Node(subject)}
+	return denyAllNode{}
 }
 
-type tableNode struct{ t *policy.NodeTable }
+type tableNode struct{ modes map[policy.Mode]ModeDecider }
 
-func (n tableNode) Resolve(mode policy.Mode) ModeDecider {
-	mt, ok := n.t.PerMode[mode]
-	if !ok {
-		return denyAllMode{}
+func (n *tableNode) Resolve(mode policy.Mode) ModeDecider {
+	if md, ok := n.modes[mode]; ok {
+		return md
 	}
-	return tableMode{mt: mt}
+	return denyAllMode{}
 }
 
-type tableMode struct{ mt policy.ModeTable }
+// tableMode is one mode's pair of approved lists.
+type tableMode struct{ reads, writes policy.IDLookup }
 
-func (m tableMode) Allow(act policy.Action, id uint32) bool {
+func (m *tableMode) Allow(act policy.Action, id uint32) bool {
 	switch act {
 	case policy.ActRead:
-		return m.mt.Reads.Contains(id)
+		return m.reads.Contains(id)
 	case policy.ActWrite:
-		return m.mt.Writes.Contains(id)
+		return m.writes.Contains(id)
 	default:
 		return false
 	}

@@ -80,11 +80,13 @@ func TestParseRangeRoundTrip(t *testing.T) {
 // phases with a reduced scenario set.
 func smallCfg(fleet int) engine.Config {
 	return engine.Config{
-		Fleet:          fleet,
-		Workers:        2,
-		RootSeed:       0xC0FFEE,
-		Scenarios:      attack.Scenarios()[:2],
-		Regimes:        []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+		Fleet:   fleet,
+		Workers: 2,
+		Groups: []engine.ScenarioGroup{{
+			Scenarios: attack.Scenarios()[:2],
+			Regimes:   []attack.Enforcement{attack.EnforceNone, attack.EnforceHPE},
+			RootSeed:  0xC0FFEE,
+		}},
 		TrafficHorizon: 10 * time.Millisecond,
 	}
 }
