@@ -14,6 +14,7 @@
 //	E7  BenchmarkShardedSweep              — sharded quickstart sweep (byte-identical merge)
 //	E7x BenchmarkShardedSweepExec          — subprocess fan-out per wire format and parallelism
 //	E8  BenchmarkShardWireEncode/Decode    — binary shard wire codec vs the JSON document
+//	P1  BenchmarkPolicyCompile             — per-vehicle policy compile (Table I, + blanket rule)
 //
 // plus the DESIGN.md §5 ablations (HPE lookup structure, AVC cache).
 // Domain metrics are attached via b.ReportMetric so `go test -bench` prints
@@ -369,6 +370,40 @@ func BenchmarkPolicyToolchain(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPolicyCompile measures one policy.Compile of the Table I set for
+// the Fig. 2 car (the per-vehicle install cost of a policy update), alone
+// and with the rollback drill's blanket rule (allow readwrite 0..0x7FF at
+// *), which widens the identifier universe to the whole 11-bit space.
+func BenchmarkPolicyCompile(b *testing.B) {
+	analysis, err := car.Analyze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tableI, err := threatmodel.DerivePolicies(analysis, "table-i", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blanket := *tableI
+	blanket.Rules = append(append([]policy.Rule(nil), tableI.Rules...), policy.Rule{
+		Subject: policy.SubjectAll, Effect: policy.Allow, Action: policy.ActReadWrite,
+		IDs: policy.Span(0, policy.MaxStandardID),
+	})
+	opts := policy.CompileOptions{Subjects: car.AllNodes, Modes: car.AllModes}
+	for _, c := range []struct {
+		name string
+		set  *policy.Set
+	}{{"table-i", tableI}, {"blanket", &blanket}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := policy.Compile(c.set, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

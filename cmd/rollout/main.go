@@ -28,6 +28,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/car"
 	"repro/internal/chaos"
@@ -195,11 +198,28 @@ func buildFleet(oem *core.OEM, current *policy.Set, vehicleCount int, candidateV
 		return nil, err
 	}
 	opts := policy.CompileOptions{Subjects: car.AllNodes, Modes: car.AllModes}
+	// Provision on GOMAXPROCS workers (fleet.Plan's default apply bound).
+	// Every store verifies, parses and compiles the bundle itself, as a
+	// device would; the lowest-index failure is reported.
+	stores := make([]*policy.Store, vehicleCount)
+	errs := make([]error, vehicleCount)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), vehicleCount); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < vehicleCount; i = int(next.Add(1) - 1) {
+				stores[i] = policy.NewStore(oem.PublicKey(), opts)
+				_, errs[i] = stores[i].Apply(baseBundle)
+			}
+		}()
+	}
+	wg.Wait()
 	out := make([]fleet.Vehicle, vehicleCount)
-	for i := 0; i < vehicleCount; i++ {
-		store := policy.NewStore(oem.PublicKey(), opts)
-		if _, err := store.Apply(baseBundle); err != nil {
-			return nil, fmt.Errorf("provisioning vehicle %d: %w", i, err)
+	for i, store := range stores {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("provisioning vehicle %d: %w", i, errs[i])
 		}
 		idx := i
 		out[i] = fleet.VehicleFunc{

@@ -170,8 +170,14 @@ func (s *Store) Apply(b *Bundle) (*Compiled, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	// Re-check monotonicity under the write lock: a concurrent Apply may
-	// have won the race since verify.
+	// Re-check name and monotonicity under the write lock: a concurrent
+	// Apply may have won the race since verify (two racing first installs
+	// of different names both pass verify against an empty store).
+	if s.set != nil && s.set.Name != set.Name {
+		s.rejected++
+		s.mu.Unlock()
+		return nil, fmt.Errorf("%w: have %q, got %q", ErrNameMismatch, s.set.Name, set.Name)
+	}
 	if s.set != nil && compiled.Version <= s.set.Version {
 		s.rejected++
 		s.mu.Unlock()

@@ -240,6 +240,47 @@ func TestStoreConcurrentApply(t *testing.T) {
 	}
 }
 
+// TestStoreRacingFirstInstallsKeepOneName races two first installs of
+// differently named policies ("alpha" v1, "beta" v2) on a fresh store. Both
+// pass verify against the empty store, so only the re-check under the write
+// lock stops the second from switching the store's name: at most one of the
+// two may ever succeed.
+func TestStoreRacingFirstInstallsKeepOneName(t *testing.T) {
+	pub, priv := testKeys(t)
+	var bundles [2]*Bundle
+	for i, name := range []string{"alpha", "beta"} {
+		b, err := Sign(fmt.Sprintf(`policy %q version %d { allow read 0x100 at ecu }`, name, i+1), priv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bundles[i] = b
+	}
+	for iter := 0; iter < 1000; iter++ {
+		store := NewStore(pub, storeOpts())
+		var errs [2]error
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i, b := range bundles {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, errs[i] = store.Apply(b)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if errs[0] == nil && errs[1] == nil {
+			t.Fatalf("iteration %d: both first installs succeeded; store now runs %q", iter, store.CurrentSet().Name)
+		}
+		for _, err := range errs {
+			if err != nil && !errors.Is(err, ErrNameMismatch) && !errors.Is(err, ErrStaleVersion) {
+				t.Fatalf("iteration %d: unexpected rejection: %v", iter, err)
+			}
+		}
+	}
+}
+
 // TestStoreListenerDeliveryOrder races many successful applies against a
 // subscriber and asserts the monotone-version delivery guarantee: because
 // Apply takes the delivery lock while still holding the store lock, the

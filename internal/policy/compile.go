@@ -1,7 +1,9 @@
 package policy
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -238,9 +240,12 @@ type CompileOptions struct {
 // Compile expands a rule set into per-node, per-mode approved reading and
 // writing lists — the exact artifact loaded into the Fig. 4 policy engine.
 //
-// Expansion evaluates Decide for every identifier mentioned by any rule, so
-// deny-overrides and wildcard subjects behave identically in the compiled
-// tables and in direct Set evaluation (a property the tests assert).
+// The identifier universe is every identifier any rule mentions. Each rule
+// is painted once into allow and deny bitsets over that universe, one pair
+// per (subject, mode, direction) cell; a cell's approved list is allow &^
+// deny, which is Decide's deny-overrides rule with default deny, so the
+// compiled tables and direct Set evaluation agree everywhere (a property the
+// tests assert). Cells with equal approved lists share one immutable lookup.
 func Compile(set *Set, opts CompileOptions) (*Compiled, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
@@ -269,6 +274,7 @@ func Compile(set *Set, opts CompileOptions) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
+	g := paint(set, opts.Subjects, opts.Modes, ids)
 
 	out := &Compiled{
 		Name:    set.Name,
@@ -276,23 +282,32 @@ func Compile(set *Set, opts CompileOptions) (*Compiled, error) {
 		Modes:   append([]Mode(nil), opts.Modes...),
 		nodes:   make(map[string]*NodeTable, len(opts.Subjects)),
 	}
-	for _, subj := range opts.Subjects {
+	// shared maps a cell's approved bitset, as bytes, to its lookup.
+	shared := map[string]IDLookup{}
+	var key []byte
+	lookup := func(cell []uint64) (IDLookup, error) {
+		key = key[:0]
+		for _, w := range cell {
+			key = binary.LittleEndian.AppendUint64(key, w)
+		}
+		if l, ok := shared[string(key)]; ok {
+			return l, nil
+		}
+		l, err := NewIDLookup(kind, g.members(cell))
+		if err != nil {
+			return nil, err
+		}
+		shared[string(key)] = l
+		return l, nil
+	}
+	for si, subj := range opts.Subjects {
 		nt := &NodeTable{Subject: subj, PerMode: make(map[Mode]ModeTable, len(opts.Modes))}
-		for _, mode := range opts.Modes {
-			var reads, writes []uint32
-			for _, id := range ids {
-				if set.Decide(subj, mode, ActRead, id) == Allow {
-					reads = append(reads, id)
-				}
-				if set.Decide(subj, mode, ActWrite, id) == Allow {
-					writes = append(writes, id)
-				}
-			}
-			rl, err := NewIDLookup(kind, reads)
+		for mi, mode := range opts.Modes {
+			rl, err := lookup(g.cell(si, mi, 0))
 			if err != nil {
 				return nil, err
 			}
-			wl, err := NewIDLookup(kind, writes)
+			wl, err := lookup(g.cell(si, mi, 1))
 			if err != nil {
 				return nil, err
 			}
@@ -301,4 +316,99 @@ func Compile(set *Set, opts CompileOptions) (*Compiled, error) {
 		out.nodes[subj] = nt
 	}
 	return out, nil
+}
+
+// directions are the two single-direction actions, in grid order.
+var directions = [2]Action{ActRead, ActWrite}
+
+// grid holds a set's approved accesses over a device model: one bitset per
+// (subject, mode, direction) cell, bit i standing for ids[i].
+type grid struct {
+	ids   []uint32
+	modes int
+	words int      // uint64 words per cell
+	bits  []uint64 // cells in subject, mode, direction order
+}
+
+// paint evaluates set on every cell of subjects × modes × directions over
+// the sorted identifier universe ids, in one pass over the rules. A "*"
+// rule covers every subject, an empty mode set every mode, ActReadWrite
+// both directions; deny bits then clear allow bits. Every identifier a rule
+// covers must be in ids.
+func paint(set *Set, subjects []string, modes []Mode, ids []uint32) grid {
+	g := grid{ids: ids, modes: len(modes), words: (len(ids) + 63) / 64}
+	n := len(subjects) * len(modes) * len(directions) * g.words
+	allow, deny := make([]uint64, n), make([]uint64, n)
+	var spans [][2]int
+	for _, r := range set.Rules {
+		spans = spans[:0]
+		for _, rg := range r.IDs {
+			lo := sort.Search(len(ids), func(i int) bool { return ids[i] >= rg.Lo })
+			hi := sort.Search(len(ids), func(i int) bool { return ids[i] > rg.Hi })
+			spans = append(spans, [2]int{lo, hi})
+		}
+		dst := allow
+		if r.Effect == Deny {
+			dst = deny
+		}
+		for si, subj := range subjects {
+			if r.Subject != SubjectAll && r.Subject != subj {
+				continue
+			}
+			for mi, mode := range modes {
+				if !r.Modes.Contains(mode) {
+					continue
+				}
+				for dir, act := range directions {
+					if !r.Action.Has(act) {
+						continue
+					}
+					c := g.offset(si, mi, dir)
+					for _, sp := range spans {
+						setRange(dst[c:c+g.words], sp[0], sp[1])
+					}
+				}
+			}
+		}
+	}
+	for i := range allow {
+		allow[i] &^= deny[i]
+	}
+	g.bits = allow
+	return g
+}
+
+func (g grid) offset(si, mi, dir int) int {
+	return ((si*g.modes+mi)*len(directions) + dir) * g.words
+}
+
+// cell returns the approved bitset of one cell.
+func (g grid) cell(si, mi, dir int) []uint64 {
+	c := g.offset(si, mi, dir)
+	return g.bits[c : c+g.words]
+}
+
+// members lists the identifiers whose bits are set, ascending.
+func (g grid) members(cell []uint64) []uint32 {
+	var out []uint32
+	for wi, w := range cell {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, g.ids[wi*64+bits.TrailingZeros64(w)])
+		}
+	}
+	return out
+}
+
+// setRange sets bits [lo, hi) of b.
+func setRange(b []uint64, lo, hi int) {
+	for lo < hi {
+		w, off := lo/64, uint(lo%64)
+		n := min(hi-lo, 64-int(off))
+		mask := ^uint64(0)
+		if n < 64 {
+			mask = (1<<uint(n) - 1) << off
+		}
+		b[w] |= mask
+		lo += n
+	}
 }

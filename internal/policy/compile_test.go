@@ -1,6 +1,10 @@
 package policy
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -16,7 +20,7 @@ func compileOpts(kind LookupKind) CompileOptions {
 func TestCompileMatchesDecide(t *testing.T) {
 	// The compiled tables must agree with direct Set evaluation everywhere.
 	s := testSet()
-	for _, kind := range []LookupKind{LookupHash, LookupSorted, LookupLinear} {
+	for _, kind := range []LookupKind{LookupBitmap, LookupHash, LookupSorted, LookupLinear} {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c, err := Compile(s, compileOpts(kind))
@@ -27,7 +31,7 @@ func TestCompileMatchesDecide(t *testing.T) {
 				nt := c.Node(subj)
 				for _, mode := range []Mode{"Normal", "Diag"} {
 					mt := nt.Table(mode)
-					for id := uint32(0x0F0); id <= 0x7E0; id += 7 {
+					for id := uint32(0); id <= MaxStandardID; id++ {
 						wantR := s.Decide(subj, mode, ActRead, id) == Allow
 						wantW := s.Decide(subj, mode, ActWrite, id) == Allow
 						if got := mt.Reads.Contains(id); got != wantR {
@@ -133,5 +137,140 @@ func TestLookupIDsSorted(t *testing.T) {
 	}
 	if _, err := NewIDLookup(LookupKind(99), ids); err == nil {
 		t.Error("invalid lookup kind accepted")
+	}
+}
+
+// randomCompileCase draws a rule set and device model that exercise every
+// painting rule: deny-overrides, "*" subjects, mode-restricted rules, rules
+// for a subject or mode the device does not have, extended identifiers
+// (bitmap falls back to hash), and duplicate subjects or modes in the
+// options.
+func randomCompileCase(rng *rand.Rand) (*Set, CompileOptions) {
+	subjects := []string{"ecu", "brakes", "dash", "ghost", SubjectAll}
+	modes := []Mode{"Normal", "Diag", "FailSafe", "Track"}
+	s := &Set{Name: "prop", Version: 1}
+	for n := rng.Intn(12); n > 0; n-- {
+		r := Rule{
+			Subject: subjects[rng.Intn(len(subjects))],
+			Effect:  []Effect{Allow, Deny}[rng.Intn(2)],
+			Action:  []Action{ActRead, ActWrite, ActReadWrite}[rng.Intn(3)],
+		}
+		for _, m := range modes {
+			if rng.Intn(4) == 0 {
+				r.Modes = r.Modes.Add(m)
+			}
+		}
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			lo := uint32(rng.Intn(0x40))
+			if rng.Intn(5) == 0 {
+				lo += 0x7F0 // crosses MaxStandardID
+			}
+			r.IDs = append(r.IDs, IDRange{Lo: lo, Hi: lo + uint32(rng.Intn(0x18))})
+		}
+		s.Rules = append(s.Rules, r)
+	}
+	opts := CompileOptions{
+		Lookup: []LookupKind{0, LookupBitmap, LookupHash, LookupSorted, LookupLinear}[rng.Intn(5)],
+	}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		opts.Subjects = append(opts.Subjects, subjects[rng.Intn(3)])
+	}
+	for n := 1 + rng.Intn(4); n > 0; n-- {
+		opts.Modes = append(opts.Modes, modes[rng.Intn(3)])
+	}
+	return s, opts
+}
+
+// TestCompileMatchesDecideProperty holds Compile to Decide on random sets:
+// every device cell, every identifier the rules can reach and their
+// neighbours.
+func TestCompileMatchesDecideProperty(t *testing.T) {
+	probes := probeRange()
+	prop := func(seed int64) bool {
+		s, opts := randomCompileCase(rand.New(rand.NewSource(seed)))
+		c, err := Compile(s, opts)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		for _, subj := range opts.Subjects {
+			for _, mode := range opts.Modes {
+				mt := c.Node(subj).Table(mode)
+				for _, id := range probes {
+					for _, d := range []struct {
+						act Action
+						l   IDLookup
+					}{{ActRead, mt.Reads}, {ActWrite, mt.Writes}} {
+						if got, want := d.l.Contains(id), s.Decide(subj, mode, d.act, id) == Allow; got != want {
+							t.Logf("seed %d: %s/%s %v 0x%X: table=%v decide=%v\n%s", seed, subj, mode, d.act, id, got, want, s)
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// probeRange covers every identifier randomCompileCase can reach, plus a
+// margin on each side.
+func probeRange() []uint32 {
+	var out []uint32
+	for id := uint32(0); id < 0x60; id++ {
+		out = append(out, id)
+	}
+	for id := uint32(0x7E0); id < 0x860; id++ {
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestCompileSharesEqualLookups asserts the sharing rule: within one
+// Compiled, two cells hold the same lookup exactly when their approved
+// lists are equal (the empty list included).
+func TestCompileSharesEqualLookups(t *testing.T) {
+	check := func(name string, s *Set, opts CompileOptions) {
+		t.Helper()
+		c, err := Compile(s, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		type cell struct {
+			at  string
+			l   IDLookup
+			ids []uint32
+		}
+		var cells []cell
+		for _, subj := range c.Subjects() {
+			for mode, mt := range c.Node(subj).PerMode {
+				cells = append(cells,
+					cell{fmt.Sprintf("%s/%s/R", subj, mode), mt.Reads, mt.Reads.IDs()},
+					cell{fmt.Sprintf("%s/%s/W", subj, mode), mt.Writes, mt.Writes.IDs()})
+			}
+		}
+		for i, a := range cells {
+			for _, b := range cells[i+1:] {
+				same := reflect.ValueOf(a.l).Pointer() == reflect.ValueOf(b.l).Pointer()
+				if equal := slices.Equal(a.ids, b.ids); same != equal {
+					t.Fatalf("%s: %s %v and %s %v: shared=%v, equal lists=%v", name, a.at, a.ids, b.at, b.ids, same, equal)
+				}
+			}
+		}
+	}
+	for _, kind := range []LookupKind{LookupBitmap, LookupHash} {
+		check("testSet/"+kind.String(), testSet(), compileOpts(kind))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		s, opts := randomCompileCase(rng)
+		if opts.Lookup == LookupSorted || opts.Lookup == LookupLinear {
+			// An empty slice lookup is a nil slice with no identity.
+			opts.Lookup = LookupHash
+		}
+		check(fmt.Sprintf("random %d", i), s, opts)
 	}
 }

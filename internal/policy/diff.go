@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -69,7 +70,9 @@ type DiffOptions struct {
 }
 
 // DiffSets computes the semantic difference between old and new over every
-// identifier either set mentions.
+// identifier either set mentions. Both sets are painted over the same
+// subjects, modes and identifiers (see Compile), and the two grids are
+// compared cell by cell in subject, mode, direction, identifier order.
 func DiffSets(oldSet, newSet *Set, opts DiffOptions) (Diff, error) {
 	if err := oldSet.Validate(); err != nil {
 		return Diff{}, fmt.Errorf("policy: diff old set: %w", err)
@@ -118,18 +121,22 @@ func DiffSets(oldSet, newSet *Set, opts DiffOptions) (Diff, error) {
 		return Diff{}, err
 	}
 
+	was := paint(oldSet, subjects, modes, ids)
+	is := paint(newSet, subjects, modes, ids)
 	var d Diff
-	for _, subj := range subjects {
-		for _, mode := range modes {
-			for _, act := range []Action{ActRead, ActWrite} {
-				for _, id := range ids {
-					was := oldSet.Decide(subj, mode, act, id) == Allow
-					is := newSet.Decide(subj, mode, act, id) == Allow
-					switch {
-					case is && !was:
-						d.Granted = append(d.Granted, Access{subj, mode, act, id})
-					case was && !is:
-						d.Revoked = append(d.Revoked, Access{subj, mode, act, id})
+	for si, subj := range subjects {
+		for mi, mode := range modes {
+			for dir, act := range directions {
+				before, after := was.cell(si, mi, dir), is.cell(si, mi, dir)
+				for wi := range before {
+					for w := before[wi] ^ after[wi]; w != 0; w &= w - 1 {
+						bit := bits.TrailingZeros64(w)
+						a := Access{subj, mode, act, ids[wi*64+bit]}
+						if after[wi]&(1<<bit) != 0 {
+							d.Granted = append(d.Granted, a)
+						} else {
+							d.Revoked = append(d.Revoked, a)
+						}
 					}
 				}
 			}

@@ -114,20 +114,25 @@ func (o *Outcome) String() string {
 		b.WriteString("diff: no semantic change\n")
 	} else {
 		b.WriteString("diff:\n")
-		lines := strings.Split(strings.TrimRight(o.Diff.String(), "\n"), "\n")
 		// A blanket rule diffs as one line per (subject, mode, id); cap the
-		// transcript at a readable prefix. The count line keeps the render a
-		// faithful (and still deterministic) summary of the full Diff.
+		// transcript at a readable prefix of Diff.String's lines, rendering
+		// only those. The count line keeps the render a faithful (and still
+		// deterministic) summary of the full Diff.
 		const maxDiffLines = 24
-		shown := lines
-		if len(lines) > maxDiffLines {
-			shown = lines[:maxDiffLines]
+		shown := 0
+		render := func(sign byte, accesses []policy.Access) {
+			for _, a := range accesses {
+				if shown == maxDiffLines {
+					return
+				}
+				fmt.Fprintf(&b, "  %c %s\n", sign, a)
+				shown++
+			}
 		}
-		for _, line := range shown {
-			fmt.Fprintf(&b, "  %s\n", line)
-		}
-		if len(lines) > maxDiffLines {
-			fmt.Fprintf(&b, "  ... (%d more changed cells)\n", len(lines)-maxDiffLines)
+		render('-', o.Diff.Revoked)
+		render('+', o.Diff.Granted)
+		if total := len(o.Diff.Revoked) + len(o.Diff.Granted); total > maxDiffLines {
+			fmt.Fprintf(&b, "  ... (%d more changed cells)\n", total-maxDiffLines)
 		}
 	}
 	b.WriteString(o.Report.String())
